@@ -9,6 +9,8 @@
 // surrounding length checks / loop invariants before use.
 #![allow(clippy::indexing_slicing)]
 
+use std::ops::ControlFlow;
+
 use serde::{Deserialize, Serialize};
 use zynq_dram::ScrapeView;
 
@@ -46,79 +48,116 @@ pub fn marker_runs(dump: &MemoryDump, marker: u32, min_len: u64) -> Vec<MarkerRu
 /// view-based pipeline uses (the dump form delegates here, so both paths run
 /// the identical algorithm).
 pub fn marker_runs_view(view: &ScrapeView<'_>, marker: u32, min_len: u64) -> Vec<MarkerRun> {
+    let mut runs = Vec::new();
+    let _ = for_each_run(view, marker, min_len, &mut |run| {
+        runs.push(run);
+        ControlFlow::Continue(())
+    });
+    runs
+}
+
+/// Calls `visit` on each maximal run of `marker` of at least `min_len`
+/// bytes, in offset order, until it breaks.
+fn for_each_run(
+    view: &ScrapeView<'_>,
+    marker: u32,
+    min_len: u64,
+    visit: &mut impl FnMut(MarkerRun) -> ControlFlow<()>,
+) -> ControlFlow<()> {
     let pattern = marker.to_le_bytes();
-    let uniform = pattern.iter().all(|&b| b == pattern[0]);
-    if uniform {
+    if pattern.iter().all(|&b| b == pattern[0]) {
         // Runs of a repeated byte are not word-quantized in the dump, so the
         // word-based scan below would miss a maximal run of 1–3 bytes even at
         // `min_len < 4`.  Scan byte-wise over the segments instead; maximal
         // runs of >= 4 bytes come out identical to the word scan.
-        return uniform_byte_runs(view, pattern[0], min_len);
+        return uniform_byte_runs(view, pattern[0], min_len, visit);
     }
     let len = view.len();
-    let mut runs = Vec::new();
     let mut i = 0usize;
     while i + 4 <= len {
-        if view.word_eq(i, &pattern) {
+        if view.eq_at(i, &pattern) {
             let start = i;
-            while view.word_eq(i, &pattern) {
+            while view.eq_at(i, &pattern) {
                 i += 4;
-            }
-            // Extend over a partial trailing word of the same byte (runs of a
-            // repeated byte are not word-quantized in the dump).
-            while uniform && i < len && view.byte_at(i) == pattern[0] {
-                i += 1;
             }
             let run_len = (i - start) as u64;
             if run_len >= min_len {
-                runs.push(MarkerRun {
+                visit(MarkerRun {
                     offset: start as u64,
                     len: run_len,
-                });
+                })?;
             }
         } else {
             i += 1;
         }
     }
-    runs
+    ControlFlow::Continue(())
 }
 
 /// Maximal runs of the repeated byte `value`, at least `min_len` bytes long,
 /// scanned segment-by-segment (runs may straddle segment boundaries).
-fn uniform_byte_runs(view: &ScrapeView<'_>, value: u8, min_len: u64) -> Vec<MarkerRun> {
-    let mut runs = Vec::new();
+fn uniform_byte_runs(
+    view: &ScrapeView<'_>,
+    value: u8,
+    min_len: u64,
+    visit: &mut impl FnMut(MarkerRun) -> ControlFlow<()>,
+) -> ControlFlow<()> {
     let mut run_start: Option<usize> = None;
-    let mut pos = 0usize;
-    let flush = |start: usize, end: usize, runs: &mut Vec<MarkerRun>| {
+    let mut base = 0usize;
+    let mut flush = |start: usize, end: usize| {
         let run_len = (end - start) as u64;
         if run_len >= min_len {
-            runs.push(MarkerRun {
+            visit(MarkerRun {
                 offset: start as u64,
                 len: run_len,
-            });
+            })
+        } else {
+            ControlFlow::Continue(())
         }
     };
     for segment in view.segments() {
-        for &byte in segment {
-            if byte == value {
-                run_start.get_or_insert(pos);
-            } else if let Some(start) = run_start.take() {
-                flush(start, pos, &mut runs);
+        // Skip to the byte that opens a run, then to the byte that closes
+        // it; a run still open at the segment end carries into the next.
+        let mut i = 0usize;
+        while i < segment.len() {
+            let rest = &segment[i..];
+            match run_start {
+                None => match rest.iter().position(|&b| b == value) {
+                    Some(skip) => {
+                        i += skip;
+                        run_start = Some(base + i);
+                    }
+                    None => break,
+                },
+                Some(start) => match rest.iter().position(|&b| b != value) {
+                    Some(skip) => {
+                        i += skip;
+                        run_start = None;
+                        flush(start, base + i)?;
+                    }
+                    None => break,
+                },
             }
-            pos += 1;
         }
+        base += segment.len();
     }
-    if let Some(start) = run_start {
-        flush(start, pos, &mut runs);
+    match run_start {
+        Some(start) => flush(start, base),
+        None => ControlFlow::Continue(()),
     }
-    runs
 }
 
 /// The first marker run of at least `min_len` bytes, if any.
 ///
-/// The paper uses the first occurrence as the image's starting offset.
+/// The paper uses the first occurrence as the image's starting offset.  The
+/// scan stops at that run.
 pub fn first_marker_offset(dump: &MemoryDump, marker: u32, min_len: u64) -> Option<u64> {
-    marker_runs(dump, marker, min_len).first().map(|r| r.offset)
+    let mut first = None;
+    let _ = for_each_run(&dump.as_view(), marker, min_len, &mut |run| {
+        first = Some(run.offset);
+        ControlFlow::Break(())
+    });
+    first
 }
 
 /// Total number of marker bytes in the dump (a coarse "how much of the image

@@ -13,6 +13,8 @@
 
 use std::fmt;
 
+use zynq_dram::ScrapeView;
+
 /// Bytes rendered per hexdump row.
 pub const BYTES_PER_ROW: usize = 16;
 
@@ -132,12 +134,7 @@ impl HexDump {
 
     /// Returns the byte offset of the first occurrence of `pattern`.
     pub fn find(&self, pattern: &[u8]) -> Option<usize> {
-        if pattern.is_empty() || pattern.len() > self.bytes.len() {
-            return None;
-        }
-        self.bytes
-            .windows(pattern.len())
-            .position(|window| window == pattern)
+        ScrapeView::from_slice(&self.bytes).find(pattern)
     }
 
     /// Returns the 16-byte-row index of the first occurrence of `pattern`

@@ -136,7 +136,7 @@ impl Profiler {
         // weight blob by searching for its first bytes.
         let known_weights = weights::quantized_weights(model);
         let prefix = &known_weights[..known_weights.len().min(32)];
-        let weights_offset = dump.to_hexdump().find(prefix).map(|offset| offset as u64);
+        let weights_offset = dump.as_view().find(prefix).map(|offset| offset as u64);
 
         Ok(ModelProfile {
             model,

@@ -5,14 +5,22 @@
 //! patterns each model leaves in memory — most usefully its name and library
 //! path fragments.  [`SignatureDb`] holds those patterns;
 //! [`SignatureDb::match_dump`] scores a scraped dump against every model.
+//!
+//! The database compiles every pattern of every signature into one
+//! [`Matcher`] when it is built, so scoring a dump is a single streaming
+//! pass over the scrape view: the automaton walks the view's segments in
+//! order, carries its state across each seam, and reports which patterns
+//! occurred; the per-model hit counts are a fold over that set.
 
 // Lint audit: indexes and slice bounds here are established by the
 // surrounding length checks / loop invariants before use.
 #![allow(clippy::indexing_slicing)]
 
+use std::sync::{Arc, OnceLock};
+
 use serde::{Deserialize, Serialize};
 use vitis_ai_sim::ModelKind;
-use zynq_dram::ScrapeView;
+use zynq_dram::{Matcher, ScrapeView};
 
 use crate::dump::MemoryDump;
 
@@ -62,33 +70,51 @@ impl ModelMatch {
 /// let db = SignatureDb::standard();
 /// assert!(db.signature(ModelKind::Resnet50Pt).is_some());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SignatureDb {
     signatures: Vec<ModelSignature>,
+    /// Every signature's patterns, in signature order, compiled once and
+    /// shared by clones.
+    matcher: Arc<Matcher>,
 }
 
 impl SignatureDb {
     /// Builds the standard database covering the whole model zoo, using the
     /// patterns an attacker learns from the public library: the model name,
     /// its install path and its framework export path.
+    ///
+    /// The database is compiled on the first call in the process; later
+    /// calls clone it and share its matcher, so building an attack pipeline
+    /// per campaign cell costs no automaton construction.
     pub fn standard() -> Self {
-        let signatures = ModelKind::all()
-            .into_iter()
-            .map(|model| ModelSignature {
-                model,
-                patterns: vec![
-                    model.name().to_string(),
-                    format!("vitis_ai_library/models/{}", model.name()),
-                    format!("torchvision/{}", model.name()),
-                ],
+        static STANDARD: OnceLock<SignatureDb> = OnceLock::new();
+        STANDARD
+            .get_or_init(|| {
+                let signatures = ModelKind::all()
+                    .into_iter()
+                    .map(|model| ModelSignature {
+                        model,
+                        patterns: vec![
+                            model.name().to_string(),
+                            format!("vitis_ai_library/models/{}", model.name()),
+                            format!("torchvision/{}", model.name()),
+                        ],
+                    })
+                    .collect();
+                SignatureDb::from_signatures(signatures)
             })
-            .collect();
-        SignatureDb { signatures }
+            .clone()
     }
 
     /// Builds a database from explicit signatures.
     pub fn from_signatures(signatures: Vec<ModelSignature>) -> Self {
-        SignatureDb { signatures }
+        let matcher = Arc::new(Matcher::new(
+            signatures.iter().flat_map(|sig| &sig.patterns),
+        ));
+        SignatureDb {
+            signatures,
+            matcher,
+        }
     }
 
     /// All signatures.
@@ -108,18 +134,19 @@ impl SignatureDb {
         self.match_view(&dump.as_view())
     }
 
-    /// [`SignatureDb::match_dump`] over a borrowed [`ScrapeView`]: the
-    /// patterns are searched segment-wise without materializing the dump
-    /// (the dump form delegates here).
+    /// [`SignatureDb::match_dump`] over a borrowed [`ScrapeView`]: one pass
+    /// of the compiled matcher over the view's segments, without
+    /// materializing the dump (the dump form delegates here).
     pub fn match_view(&self, view: &ScrapeView<'_>) -> Vec<ModelMatch> {
+        let mut found = self.matcher.scan(view).into_iter();
         let mut matches: Vec<ModelMatch> = self
             .signatures
             .iter()
             .map(|sig| {
-                let hits = sig
-                    .patterns
-                    .iter()
-                    .filter(|pattern| view.contains_seq(pattern.as_bytes()))
+                let hits = found
+                    .by_ref()
+                    .take(sig.patterns.len())
+                    .filter(|&hit| hit)
                     .count();
                 ModelMatch {
                     model: sig.model,
@@ -130,12 +157,7 @@ impl SignatureDb {
             })
             .filter(|m| m.hits > 0)
             .collect();
-        matches.sort_by(|a, b| {
-            b.confidence()
-                .partial_cmp(&a.confidence())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| b.hits.cmp(&a.hits))
-        });
+        rank(&mut matches);
         matches
     }
 
@@ -149,6 +171,26 @@ impl SignatureDb {
         self.match_view(view).into_iter().next()
     }
 }
+
+/// Orders matches most-confident first, then by hit count.
+fn rank(matches: &mut [ModelMatch]) {
+    matches.sort_by(|a, b| {
+        b.confidence()
+            .partial_cmp(&a.confidence())
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| b.hits.cmp(&a.hits))
+    });
+}
+
+/// Two databases are equal when their signatures are: the matcher is a
+/// function of them.
+impl PartialEq for SignatureDb {
+    fn eq(&self, other: &Self) -> bool {
+        self.signatures == other.signatures
+    }
+}
+
+impl Eq for SignatureDb {}
 
 impl Default for SignatureDb {
     fn default() -> Self {
@@ -244,5 +286,136 @@ mod tests {
         // Needle longer than the dump is handled.
         let tiny = dump_with(b"x");
         assert!(SignatureDb::standard().match_dump(&tiny).is_empty());
+    }
+
+    /// The per-pattern reference `match_view` is checked against: every
+    /// pattern searched on its own with `windows().position` over an owned
+    /// copy of the view.
+    fn naive_match_view(db: &SignatureDb, view: &ScrapeView<'_>) -> Vec<ModelMatch> {
+        let bytes = view.to_vec();
+        let occurs = |p: &[u8]| !p.is_empty() && bytes.windows(p.len()).any(|w| w == p);
+        let mut matches: Vec<ModelMatch> = db
+            .signatures()
+            .iter()
+            .map(|sig| ModelMatch {
+                model: sig.model,
+                hits: sig.patterns.iter().filter(|p| occurs(p.as_bytes())).count(),
+                total_patterns: sig.patterns.len(),
+                fuzzy_distance: None,
+            })
+            .filter(|m| m.hits > 0)
+            .collect();
+        rank(&mut matches);
+        matches
+    }
+
+    #[test]
+    fn one_pass_scan_matches_the_per_pattern_reference_on_every_zoo_dump() {
+        use crate::attack::ScrapeMode;
+        use crate::scrape::scrape_heap_view;
+        use crate::translate::capture_heap_translation;
+        use petalinux_sim::{BoardConfig, Kernel, UserId};
+        use vitis_ai_sim::{DpuRunner, Image};
+        use xsdb::DebugSession;
+
+        let db = SignatureDb::standard();
+        for model in ModelKind::all() {
+            let mut kernel = Kernel::boot(BoardConfig::zcu104());
+            let (w, h) = model.input_dims();
+            let launched = DpuRunner::new(model)
+                .with_input(Image::corrupted(w, h))
+                .launch(&mut kernel, UserId::new(0))
+                .expect("victim launches");
+            let mut dbg = DebugSession::connect(UserId::new(1));
+            let translation =
+                capture_heap_translation(&mut dbg, &kernel, launched.pid()).expect("translation");
+            launched.terminate(&mut kernel).expect("victim terminates");
+            for mode in [ScrapeMode::ContiguousRange, ScrapeMode::PerPage] {
+                let heap = scrape_heap_view(&mut dbg, &kernel, &translation, mode)
+                    .expect("scrape")
+                    .expect("perfect remanence allows zero-copy views");
+                let matches = db.match_view(heap.view());
+                assert_eq!(
+                    matches,
+                    naive_match_view(&db, heap.view()),
+                    "{model} {mode:?}"
+                );
+                assert_eq!(matches[0].model, model);
+            }
+        }
+    }
+
+    #[test]
+    fn overlapping_prefix_and_suffix_patterns_match_the_reference() {
+        let patterns = |words: &[&str]| words.iter().map(|w| w.to_string()).collect();
+        let db = SignatureDb::from_signatures(vec![
+            ModelSignature {
+                model: ModelKind::Vgg16,
+                patterns: patterns(&["vgg16", "torchvision/vgg16", "vgg", "16", ""]),
+            },
+            ModelSignature {
+                model: ModelKind::Resnet50Pt,
+                patterns: patterns(&["resnet50", "resnet50_pt", "net50_pt", "vgg16"]),
+            },
+            ModelSignature {
+                model: ModelKind::SqueezeNet,
+                patterns: patterns(&["squeezenet", "torchvision/squeezenet/too-long"]),
+            },
+        ]);
+        let mut state = 0x5EED_u64;
+        for round in 0..64 {
+            let mut bytes: Vec<u8> = (0..300)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1);
+                    b"tv/g16resnt_p"[usize::try_from(state >> 60).expect("4 bits") % 13]
+                })
+                .collect();
+            let plant: &[&[u8]] = &[b"torchvision/vgg16", b"resnet50_pt", b"squeezenet"];
+            for (k, p) in plant
+                .iter()
+                .enumerate()
+                .filter(|(k, _)| round >> k & 1 == 1)
+            {
+                let at = 20 + 90 * k + round % 7;
+                bytes[at..at + p.len()].copy_from_slice(p);
+            }
+            for unit in [4096, 16, 1] {
+                let mut view = ScrapeView::with_unit(unit);
+                view.set_head(&bytes[..round % 5]);
+                for chunk in bytes[round % 5..].chunks(unit) {
+                    view.push_chunk(chunk);
+                }
+                assert_eq!(
+                    db.match_view(&view),
+                    naive_match_view(&db, &view),
+                    "round {round}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn databases_with_more_than_sixty_four_patterns_count_every_hit() {
+        let signatures: Vec<ModelSignature> = ModelKind::all()
+            .into_iter()
+            .map(|model| ModelSignature {
+                model,
+                patterns: (0..12).map(|i| format!("{}#{i}", model.name())).collect(),
+            })
+            .collect();
+        let db = SignatureDb::from_signatures(signatures);
+        let text: String = ModelKind::all()
+            .into_iter()
+            .enumerate()
+            .flat_map(|(k, model)| (0..k + 1).map(move |i| format!("{}#{i} ", model.name())))
+            .collect();
+        let dump = dump_with(text.as_bytes());
+        let matches = db.match_dump(&dump);
+        assert_eq!(matches, naive_match_view(&db, &dump.as_view()));
+        assert_eq!(matches.len(), ModelKind::all().len());
+        assert_eq!(matches[0].hits, ModelKind::all().len());
+        assert_eq!(db, SignatureDb::from_signatures(db.signatures().to_vec()));
     }
 }

@@ -13,7 +13,8 @@
 //!   [`Dram::scrub_banks_parallel`] / [`Dram::scrape_banks_parallel`] paths
 //!   fan work across them while staying byte-identical to the sequential
 //!   operations, and [`Dram::scrape_view`] borrows **zero-copy**
-//!   [`ScrapeView`]s straight out of the slabs,
+//!   [`ScrapeView`]s straight out of the slabs, searched in one streaming
+//!   pass by [`Matcher`],
 //! - the DDR address interleaving used by the memory controller
 //!   ([`mapping::DdrMapping`]), so row/bank-granular sanitization schemes
 //!   (RowClone, RowReset) can be modelled faithfully,
@@ -56,6 +57,7 @@ pub mod mapping;
 pub mod racecheck;
 pub mod remanence;
 pub mod sanitize;
+pub mod search;
 pub mod stats;
 pub mod swap;
 pub mod view;
@@ -67,6 +69,7 @@ pub use error::DramError;
 pub use mapping::{BankChunk, DdrCoordinates, DdrMapping};
 pub use remanence::{RemanenceModel, ResidueDecay};
 pub use sanitize::{SanitizeCost, SanitizePolicy, ScrubReport};
+pub use search::Matcher;
 pub use stats::DramStats;
 pub use swap::{SwapSlot, SwapStore};
 pub use view::ScrapeView;

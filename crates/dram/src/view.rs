@@ -13,12 +13,19 @@
 //! transform) and can be stitched (per-page scrapes) or padded with zeros
 //! (window-end clamping) by the consumer via [`ScrapeView::append`] and
 //! [`ScrapeView::push_zeros`].
+//!
+//! Searching is one streaming pass: [`ScrapeView::find`] and the
+//! multi-pattern [`Matcher`] walk
+//! [`ScrapeView::segments`] in order and carry their automaton state across
+//! each seam, so a match may straddle any number of segments and no bytes
+//! are copied to bridge them.
 
 // Lint audit: indexes and slice bounds here are established by the
 // surrounding length checks / loop invariants before use.
 #![allow(clippy::indexing_slicing)]
 
 use crate::addr::PAGE_SIZE;
+use crate::search::Matcher;
 
 /// [`PAGE_SIZE`] as a `usize` length.  The compile-time guard makes the
 /// cast provably lossless on every supported target, so this is the one
@@ -156,13 +163,20 @@ impl<'a> ScrapeView<'a> {
         self.chunks[j >> self.unit_shift][j & (self.unit() - 1)]
     }
 
-    /// `true` when the four bytes at `[i, i + 4)` equal `word` (`false`
-    /// whenever fewer than four bytes remain).
+    /// `true` when the bytes at `[i, i + bytes.len())` equal `bytes`
+    /// (`false` whenever the range runs past the end of the view).
     #[inline]
-    pub fn word_eq(&self, i: usize, word: &[u8; 4]) -> bool {
-        match self.try_borrow(i, 4) {
-            Some(slice) => slice == word,
-            None => i + 4 <= self.len && (0..4).all(|k| self.byte_at(i + k) == word[k]),
+    pub fn eq_at(&self, i: usize, bytes: &[u8]) -> bool {
+        match self.try_borrow(i, bytes.len()) {
+            Some(slice) => slice == bytes,
+            None => {
+                i.checked_add(bytes.len())
+                    .is_some_and(|end| end <= self.len)
+                    && bytes
+                        .iter()
+                        .enumerate()
+                        .all(|(k, &b)| self.byte_at(i + k) == b)
+            }
         }
     }
 
@@ -269,68 +283,13 @@ impl<'a> ScrapeView<'a> {
             .filter(|s| !s.is_empty())
     }
 
-    /// Offset of the first occurrence of `needle`, searching segment-wise
-    /// with small bridge buffers over the boundaries — earliest-match
-    /// identical to `self.to_vec().windows(n).position(..)` without
-    /// materializing the view.
+    /// Offset of the first occurrence of `needle` (`None` for an empty
+    /// needle): earliest-match identical to
+    /// `self.to_vec().windows(n).position(..)`.  The needle runs as a
+    /// one-pattern [`Matcher`] in a single pass over the segments, carrying
+    /// its match state across every seam, so no byte is copied.
     pub fn find(&self, needle: &[u8]) -> Option<usize> {
-        let n = needle.len();
-        if n == 0 || n > self.len {
-            return None;
-        }
-        if n > self.unit() && !self.chunks.is_empty() {
-            // A needle longer than a whole middle segment could span three
-            // segments, which the two-segment bridge below cannot order
-            // correctly — fall back to an owned search (needles that long do
-            // not occur on the hot signature/probe paths).
-            let owned = self.to_vec();
-            return owned.windows(n).position(|w| w == needle);
-        }
-        let mut tail: Vec<u8> = Vec::new();
-        let mut bridge: Vec<u8> = Vec::new();
-        let mut position = 0usize;
-        for segment in self.segments() {
-            // Boundary-spanning matches start before `position`, so they are
-            // checked before this segment's internal matches; internal
-            // matches of the previous segment all start earlier than any
-            // spanning match.  First-match order is therefore preserved.
-            if n > 1 && !tail.is_empty() {
-                bridge.clear();
-                bridge.extend_from_slice(&tail);
-                bridge.extend_from_slice(&segment[..segment.len().min(n - 1)]);
-                if bridge.len() >= n {
-                    if let Some(p) = bridge.windows(n).position(|w| w == needle) {
-                        if p < tail.len() {
-                            return Some(position - tail.len() + p);
-                        }
-                    }
-                }
-            }
-            if segment.len() >= n {
-                if let Some(p) = segment.windows(n).position(|w| w == needle) {
-                    return Some(position + p);
-                }
-            }
-            if n > 1 {
-                if segment.len() >= n - 1 {
-                    tail.clear();
-                    tail.extend_from_slice(&segment[segment.len() - (n - 1)..]);
-                } else {
-                    tail.extend_from_slice(segment);
-                    let excess = tail.len().saturating_sub(n - 1);
-                    if excess > 0 {
-                        tail.drain(..excess);
-                    }
-                }
-            }
-            position += segment.len();
-        }
-        None
-    }
-
-    /// `true` when `needle` occurs anywhere in the view.
-    pub fn contains_seq(&self, needle: &[u8]) -> bool {
-        self.find(needle).is_some()
+        Matcher::new([needle]).first_match(self)
     }
 }
 
@@ -415,7 +374,6 @@ mod tests {
         for needle in [&b"NEEDLE-A"[..], b"NEEDLE-B", b"EDLE", b"absent!"] {
             let expected = data.windows(needle.len()).position(|w| w == needle);
             assert_eq!(view.find(needle), expected, "needle {needle:?}");
-            assert_eq!(view.contains_seq(needle), expected.is_some());
         }
         // First-match order: duplicate needle, earliest offset wins.
         let first = data.windows(4).position(|w| w == &data[60..64]).unwrap();
@@ -423,17 +381,17 @@ mod tests {
     }
 
     #[test]
-    fn word_eq_and_zero_padding() {
+    fn eq_at_and_zero_padding() {
         // Padding always starts on a unit boundary (the clamped window end
         // is page-aligned), so the last data chunk is full when zeros follow.
         let data = sample(128);
         let mut view = chunked(&data, 0, 64);
         view.push_zeros(150);
         assert_eq!(view.len(), 278);
-        assert!(view.word_eq(0, &[data[0], data[1], data[2], data[3]]));
-        assert!(view.word_eq(130, &[0, 0, 0, 0]));
-        assert!(view.word_eq(126, &[data[126], data[127], 0, 0]), "straddle");
-        assert!(!view.word_eq(276, &[0, 0, 0, 0]), "past the end is false");
+        assert!(view.eq_at(0, &[data[0], data[1], data[2], data[3]]));
+        assert!(view.eq_at(130, &[0, 0, 0, 0]));
+        assert!(view.eq_at(126, &[data[126], data[127], 0, 0]), "straddle");
+        assert!(!view.eq_at(276, &[0, 0, 0, 0]), "past the end is false");
         let flat = view.to_vec();
         assert_eq!(&flat[..128], &data[..]);
         assert!(flat[128..].iter().all(|&b| b == 0));
