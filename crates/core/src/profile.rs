@@ -134,9 +134,8 @@ impl Profiler {
 
         // The attacker knows the public weights, so it can also locate the
         // weight blob by searching for its first bytes.
-        let known_weights = weights::quantized_weights(model);
-        let prefix = &known_weights[..known_weights.len().min(32)];
-        let weights_offset = dump.as_view().find(prefix).map(|offset| offset as u64);
+        let prefix = weights::quantized_prefix::<32>(model);
+        let weights_offset = dump.as_view().find(&prefix).map(|offset| offset as u64);
 
         Ok(ModelProfile {
             model,

@@ -475,7 +475,8 @@ pub enum ScenarioResult {
 pub struct AttackScenario {
     board: BoardConfig,
     model: ModelKind,
-    input: Image,
+    /// `None` is the sample photo, left to the runner to build at launch.
+    input: Option<Image>,
     victim_user: UserId,
     attacker_user: UserId,
     attack_config: AttackConfig,
@@ -499,11 +500,10 @@ impl AttackScenario {
     /// Creates a scenario for `model` on a board with `board` configuration,
     /// using the sample photo as the victim's input.
     pub fn new(board: BoardConfig, model: ModelKind) -> Self {
-        let (w, h) = model.input_dims();
         AttackScenario {
             board,
             model,
-            input: Image::sample_photo(w, h),
+            input: None,
             victim_user: UserId::new(0),
             attacker_user: UserId::new(1),
             attack_config: AttackConfig::default(),
@@ -517,13 +517,13 @@ impl AttackScenario {
     /// Uses the paper's corrupted (`0xFFFFFF`) image as the victim input.
     pub fn with_corrupted_input(mut self) -> Self {
         let (w, h) = self.model.input_dims();
-        self.input = Image::corrupted(w, h);
+        self.input = Some(Image::corrupted(w, h));
         self
     }
 
     /// Uses an explicit victim input image.
     pub fn with_input(mut self, input: Image) -> Self {
-        self.input = input;
+        self.input = Some(input);
         self
     }
 
@@ -792,9 +792,7 @@ impl<'a> BootedScenario<'a> {
                 let start = (splitmix64(self.scenario.seed) % zoo.len() as u64) as usize;
                 for i in 0..predecessors {
                     let model = zoo[(start + i) % zoo.len()];
-                    let (w, h) = model.input_dims();
                     let run = DpuRunner::new(model)
-                        .with_input(Image::sample_photo(w, h))
                         .launch(&mut self.kernel, self.scenario.victim_user)
                         .map_err(runner_error)?;
                     run.terminate(&mut self.kernel).map_err(runner_error)?;
@@ -1073,8 +1071,11 @@ impl<'a> BootedScenario<'a> {
     ///
     /// Propagates kernel errors from the launch.
     pub fn launch_victim(&mut self) -> Result<LaunchedRun, AttackError> {
-        DpuRunner::new(self.scenario.model)
-            .with_input(self.scenario.input.clone())
+        let mut runner = DpuRunner::new(self.scenario.model);
+        if let Some(input) = &self.scenario.input {
+            runner = runner.with_input(input.clone());
+        }
+        runner
             .launch(&mut self.kernel, self.scenario.victim_user)
             .map_err(runner_error)
     }

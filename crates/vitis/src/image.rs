@@ -61,14 +61,10 @@ impl Image {
 
     /// A solid-colour image.
     pub fn solid(width: u32, height: u32, rgb: [u8; 3]) -> Self {
-        let mut pixels = Vec::with_capacity((width * height * 3) as usize);
-        for _ in 0..(width * height) {
-            pixels.extend_from_slice(&rgb);
-        }
         Image {
             width,
             height,
-            pixels,
+            pixels: rgb.repeat((width * height) as usize),
         }
     }
 
@@ -84,14 +80,29 @@ impl Image {
 
     /// A deterministic synthetic "photo" (smooth gradients plus a block
     /// pattern), standing in for the Xilinx-supplied example image.
+    ///
+    /// Red varies with `x` only, green with `y` only, and blue with `x` and
+    /// the parity of `y / 8`.  Rows 0 and 8 are therefore computed pixel by
+    /// pixel, and every other row copies the one of its parity and rewrites
+    /// its green channel.
     pub fn sample_photo(width: u32, height: u32) -> Self {
-        let mut pixels = Vec::with_capacity((width * height * 3) as usize);
+        let row_len = width as usize * 3;
+        let mut pixels = Vec::with_capacity(row_len * height as usize);
         for y in 0..height {
-            for x in 0..width {
-                let r = ((x * 255) / width.max(1)) as u8;
-                let g = ((y * 255) / height.max(1)) as u8;
-                let b = (((x / 8 + y / 8) % 2) * 200 + 20) as u8;
-                pixels.extend_from_slice(&[r, g, b]);
+            let g = ((y * 255) / height.max(1)) as u8;
+            if y == 0 || y == 8 {
+                for x in 0..width {
+                    let r = ((x * 255) / width.max(1)) as u8;
+                    let b = (((x / 8 + y / 8) % 2) * 200 + 20) as u8;
+                    pixels.extend_from_slice(&[r, g, b]);
+                }
+            } else {
+                let template = (y / 8 % 2) as usize * 8 * row_len;
+                let start = pixels.len();
+                pixels.extend_from_within(template..template + row_len);
+                for green in pixels[start..].iter_mut().skip(1).step_by(3) {
+                    *green = g;
+                }
             }
         }
         Image {

@@ -14,14 +14,16 @@
 
 use crate::image::Image;
 use crate::model::ModelKind;
-use crate::weights;
+use crate::weights::{self, ForwardWeights};
 
 /// Side length of the downsampled working resolution.
 const WORKING_DIM: usize = 32;
 /// Number of convolution filters.
-const CONV_FILTERS: usize = 8;
+pub(crate) const CONV_FILTERS: usize = 8;
 /// Convolution kernel size.
 const KERNEL: usize = 3;
+/// Number of convolution weights, read from the front of the weight blob.
+pub(crate) const CONV_WEIGHTS: usize = CONV_FILTERS * KERNEL * KERNEL;
 
 /// Runs the reduced forward pass of `model` over `input`, returning the
 /// logits (one per output class).
@@ -29,14 +31,14 @@ const KERNEL: usize = 3;
 /// The computation is deterministic: identical `(model, input)` pairs give
 /// identical logits.
 pub fn run_inference(model: ModelKind, input: &Image) -> Vec<f32> {
-    let gray = downsample_grayscale(input, WORKING_DIM);
-    let w = weights::float_weights(model);
+    forward(input, &weights::walk(model, |_| {}))
+}
 
-    // Convolution weights come from the front of the weight blob, classifier
-    // weights from the back; both regions exist for every zoo model because
-    // the minimum simulated parameter count exceeds what is consumed here.
-    let conv_needed = CONV_FILTERS * KERNEL * KERNEL;
-    let conv_w = &w[..conv_needed.min(w.len())];
+/// The forward pass over weights already captured from the model's weight
+/// stream: convolution weights from the front of the blob, classifier
+/// weights from the back.
+pub(crate) fn forward(input: &Image, weights: &ForwardWeights) -> Vec<f32> {
+    let gray = downsample_grayscale(input, WORKING_DIM);
 
     let mut feature_maps = [0f32; CONV_FILTERS];
     let out_dim = WORKING_DIM - KERNEL + 1;
@@ -48,10 +50,7 @@ pub fn run_inference(model: ModelKind, input: &Image) -> Vec<f32> {
                 for ky in 0..KERNEL {
                     for kx in 0..KERNEL {
                         let pixel = gray[(y + ky) * WORKING_DIM + (x + kx)];
-                        let weight = conv_w
-                            .get(f * KERNEL * KERNEL + ky * KERNEL + kx)
-                            .copied()
-                            .unwrap_or(0.0);
+                        let weight = weights.conv[f * KERNEL * KERNEL + ky * KERNEL + kx];
                         v += pixel * weight;
                     }
                 }
@@ -62,22 +61,17 @@ pub fn run_inference(model: ModelKind, input: &Image) -> Vec<f32> {
         *map = accum / (out_dim * out_dim) as f32;
     }
 
-    let classes = model.output_classes();
-    let fc_region = &w[w.len().saturating_sub(classes * CONV_FILTERS)..];
-    let mut logits = vec![0f32; classes];
-    for (c, logit) in logits.iter_mut().enumerate() {
-        let mut v = 0f32;
-        for (f, feature) in feature_maps.iter().enumerate() {
-            let weight = fc_region.get(c * CONV_FILTERS + f).copied().unwrap_or(
-                // Wrap around deterministically when the scaled blob is
-                // smaller than the classifier needs.
-                w[(c * CONV_FILTERS + f) % w.len()],
-            );
-            v += feature * weight;
-        }
-        *logit = v;
-    }
-    logits
+    weights
+        .classifier
+        .chunks_exact(CONV_FILTERS)
+        .map(|row| {
+            let mut v = 0f32;
+            for (feature, weight) in feature_maps.iter().zip(row) {
+                v += feature * weight;
+            }
+            v
+        })
+        .collect()
 }
 
 /// Index of the largest logit (the predicted class).
@@ -94,9 +88,14 @@ pub fn argmax(logits: &[f32]) -> Option<usize> {
     Some(best)
 }
 
+/// Nearest-neighbour downsample to `dim × dim` luminance in `[0, 1]`; an
+/// image with no pixels reads as black.
 fn downsample_grayscale(image: &Image, dim: usize) -> Vec<f32> {
     let mut out = vec![0f32; dim * dim];
-    let (w, h) = (image.width().max(1), image.height().max(1));
+    let (w, h) = (image.width(), image.height());
+    if w == 0 || h == 0 {
+        return out;
+    }
     for (i, slot) in out.iter_mut().enumerate() {
         let y = (i / dim) as u32 * h / dim as u32;
         let x = (i % dim) as u32 * w / dim as u32;
@@ -158,5 +157,16 @@ mod tests {
         let img = Image::solid(1, 1, [10, 20, 30]);
         let logits = run_inference(ModelKind::SqueezeNet, &img);
         assert_eq!(logits.len(), 1000);
+    }
+
+    #[test]
+    fn zero_sized_images_do_not_panic() {
+        // Missing pixels read as black, so every empty shape gives the
+        // logits of an all-black image.
+        let black = run_inference(ModelKind::SqueezeNet, &Image::solid(4, 4, [0; 3]));
+        for (w, h) in [(0, 0), (0, 5), (5, 0)] {
+            let logits = run_inference(ModelKind::SqueezeNet, &Image::solid(w, h, [9; 3]));
+            assert_eq!(logits, black, "{w}x{h}");
+        }
     }
 }

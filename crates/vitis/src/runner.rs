@@ -8,12 +8,22 @@
 //! attack later recovers — model-name strings, the corrupted-image marker, the
 //! image bytes at a profiled offset — is placed by this runner, the same way
 //! the real runtime places it on the ZCU104.
+//!
+//! A launch does only the work its residue needs.  The container is
+//! serialized straight into the heap buffer, and its weight blob is generated
+//! there in place.  The same single walk of the model's weight stream
+//! captures the few floats the forward pass reads, so no `XModel`, weight or
+//! float blob is built on the side.  The default sample photo is built only
+//! when a launch actually uses it.  Nothing is cached between launches: each
+//! one builds its heap image from scratch, in one buffer, written once and
+//! then read back.
 
 // Lint audit: address arithmetic here is bounds-checked against the
 // DRAM window before any narrowing cast or direct index; offsets are
 // derived from validated window-relative coordinates.
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
@@ -24,7 +34,8 @@ use zynq_dram::PAGE_SIZE;
 use crate::image::Image;
 use crate::inference;
 use crate::model::ModelKind;
-use crate::xmodel::XModel;
+use crate::weights::ForwardWeights;
+use crate::xmodel::Head;
 
 /// Alignment applied to each section of the heap image.
 const SECTION_ALIGN: u64 = 64;
@@ -93,17 +104,24 @@ fn align_up(value: u64, align: u64) -> u64 {
 /// model-dependent offset), which is exactly the determinism the paper's
 /// offline profiling exploits.
 pub fn heap_image(model: ModelKind, input: &Image) -> (Vec<u8>, HeapLayout) {
-    let container = XModel::build(model);
-    let container_bytes = container.serialize();
+    let (bytes, layout, _) = load_heap(model, input);
+    (bytes, layout)
+}
+
+/// [`heap_image`], plus the weights the forward pass reads, captured from the
+/// one walk of the weight stream that writes the blob into the heap.
+fn load_heap(model: ModelKind, input: &Image) -> (Vec<u8>, HeapLayout, ForwardWeights) {
+    let head = Head::new(model);
+    let weights_len = model.simulated_param_count();
+    let container_len = head.serialized_len(weights_len as usize) as u64;
     let image_bytes = input.as_bytes();
 
     let xmodel_offset = HEADER_LEN;
     // The weight blob is the tail of the serialized container.
-    let weights_offset =
-        xmodel_offset + container_bytes.len() as u64 - container.weights().len() as u64;
+    let weights_offset = xmodel_offset + container_len - weights_len;
     let (w, h) = model.input_dims();
     let nominal_image_len = (w * h * 3) as u64;
-    let image_offset = align_up(xmodel_offset + container_bytes.len() as u64, SECTION_ALIGN);
+    let image_offset = align_up(xmodel_offset + container_len, SECTION_ALIGN);
     let output_offset = align_up(image_offset + nominal_image_len, SECTION_ALIGN);
     let output_len = (model.output_classes() * 4) as u64;
     let heap_len = align_up(output_offset + output_len, PAGE_SIZE);
@@ -115,10 +133,10 @@ pub fn heap_image(model: ModelKind, input: &Image) -> (Vec<u8>, HeapLayout) {
     bytes[0..8].copy_from_slice(&(heap_len).to_le_bytes());
     bytes[8..16].copy_from_slice(&0x0000_aaaa_f171_0780u64.to_le_bytes());
     bytes[16..24].copy_from_slice(&0x0000_aaaa_f171_1270u64.to_le_bytes());
-    bytes[24..32].copy_from_slice(&(container_bytes.len() as u64).to_le_bytes());
+    bytes[24..32].copy_from_slice(&container_len.to_le_bytes());
 
-    bytes[xmodel_offset as usize..xmodel_offset as usize + container_bytes.len()]
-        .copy_from_slice(&container_bytes);
+    let forward = head
+        .write_into(&mut bytes[xmodel_offset as usize..(xmodel_offset + container_len) as usize]);
     let copy_len = image_bytes.len().min(nominal_image_len as usize);
     bytes[image_offset as usize..image_offset as usize + copy_len]
         .copy_from_slice(&image_bytes[..copy_len]);
@@ -133,6 +151,7 @@ pub fn heap_image(model: ModelKind, input: &Image) -> (Vec<u8>, HeapLayout) {
             output_offset,
             heap_len,
         },
+        forward,
     )
 }
 
@@ -252,7 +271,8 @@ impl CompletedRun {
 #[derive(Debug, Clone)]
 pub struct DpuRunner {
     model: ModelKind,
-    input: Image,
+    /// `None` runs the sample photo, which is only built at launch.
+    input: Option<Image>,
     image_argument: String,
 }
 
@@ -260,17 +280,16 @@ impl DpuRunner {
     /// Creates a runner for `model` using the Xilinx-style sample photo as
     /// input.
     pub fn new(model: ModelKind) -> Self {
-        let (w, h) = model.input_dims();
         DpuRunner {
             model,
-            input: Image::sample_photo(w, h),
+            input: None,
             image_argument: "../images/001.jpg".to_string(),
         }
     }
 
     /// Replaces the input image (e.g. with the corrupted or sentinel image).
     pub fn with_input(mut self, input: Image) -> Self {
-        self.input = input;
+        self.input = Some(input);
         self
     }
 
@@ -285,9 +304,10 @@ impl DpuRunner {
         self.model
     }
 
-    /// The input image this runner will load.
-    pub fn input_image(&self) -> &Image {
-        &self.input
+    /// The input image this runner will load, or `None` for the sample
+    /// photo at the model's input dimensions.
+    pub fn input_image(&self) -> Option<&Image> {
+        self.input.as_ref()
     }
 
     /// Spawns the victim process, loads the model and image into its heap,
@@ -309,19 +329,24 @@ impl DpuRunner {
             ],
         )?;
 
-        let (bytes, layout) = heap_image(self.model, &self.input);
+        // The default photo is built only by the launch that uses it.
+        let (w, h) = self.model.input_dims();
+        let input = match &self.input {
+            Some(input) => Cow::Borrowed(input),
+            None => Cow::Owned(Image::sample_photo(w, h)),
+        };
+        let (bytes, layout, weights) = load_heap(self.model, &input);
         kernel.grow_heap(pid, layout.heap_len)?;
         let heap_base = kernel.process(pid)?.heap_base();
         kernel.write_process_memory(pid, heap_base, &bytes)?;
 
         // Run the reduced forward pass over the data as it sits in the
         // process's memory (read it back rather than trusting local copies).
-        let (w, h) = self.model.input_dims();
         let mut image_back = vec![0u8; (w * h * 3) as usize];
         kernel.read_process_memory(pid, heap_base + layout.image_offset, &mut image_back)?;
         let image_in_memory = Image::reconstruct(w, h, &image_back)
             .expect("image buffer sized from model dimensions");
-        let logits = inference::run_inference(self.model, &image_in_memory);
+        let logits = inference::forward(&image_in_memory, &weights);
 
         let mut logit_bytes = Vec::with_capacity(logits.len() * 4);
         for logit in &logits {
@@ -332,7 +357,7 @@ impl DpuRunner {
         Ok(LaunchedRun {
             pid,
             model: self.model,
-            input: self.input.clone(),
+            input: input.into_owned(),
             layout,
             logits,
         })
@@ -473,7 +498,8 @@ mod tests {
             .with_input(Image::corrupted(416, 416))
             .with_image_argument("../images/dog.jpg");
         assert_eq!(runner.model(), ModelKind::YoloV3);
-        assert_eq!(runner.input_image().width(), 416);
+        assert_eq!(runner.input_image().map(Image::width), Some(416));
+        assert_eq!(DpuRunner::new(ModelKind::YoloV3).input_image(), None);
     }
 
     #[test]

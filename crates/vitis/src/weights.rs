@@ -11,32 +11,84 @@
 // derived from validated window-relative coordinates.
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
+use crate::inference::{CONV_FILTERS, CONV_WEIGHTS};
 use crate::model::ModelKind;
 
 /// Quantized (int8) weights for `model`, `simulated_param_count()` bytes long.
 pub fn quantized_weights(model: ModelKind) -> Vec<u8> {
-    let mut state = seed_for(model);
-    let count = model.simulated_param_count() as usize;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        state = xorshift(state);
-        out.push((state & 0xFF) as u8);
-    }
-    out
+    states(model).map(quantize).collect()
+}
+
+/// The first `N` bytes of [`quantized_weights`], without generating the
+/// rest of the blob or allocating.
+///
+/// # Panics
+///
+/// Panics if `N` exceeds the model's `simulated_param_count()`, which is at
+/// least 256.
+pub fn quantized_prefix<const N: usize>(model: ModelKind) -> [u8; N] {
+    let mut states = states(model);
+    [0u8; N].map(|_| quantize(states.next().expect("prefix longer than the weight blob")))
 }
 
 /// Floating-point weights for `model`, scaled to roughly unit variance.
 pub fn float_weights(model: ModelKind) -> Vec<f32> {
-    let mut state = seed_for(model);
+    states(model).map(unit).collect()
+}
+
+/// The floating-point weights the reduced forward pass reads: the
+/// convolution filters at the front of [`float_weights`] and the classifier
+/// table at its back.
+#[derive(Debug)]
+pub(crate) struct ForwardWeights {
+    /// `float_weights[..CONV_WEIGHTS]`.
+    pub(crate) conv: [f32; CONV_WEIGHTS],
+    /// One row of [`CONV_FILTERS`] weights per output class, taken from the
+    /// tail of `float_weights` and wrapping around to its start when the
+    /// blob is smaller than the table.
+    pub(crate) classifier: Vec<f32>,
+}
+
+/// Walks `model`'s weight stream once: hands every quantized byte to
+/// `each_byte`, in order, and captures the [`ForwardWeights`] on the way.
+pub(crate) fn walk(model: ModelKind, mut each_byte: impl FnMut(u8)) -> ForwardWeights {
     let count = model.simulated_param_count() as usize;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        state = xorshift(state);
-        // Map to [-1, 1).
-        let unit = ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0;
-        out.push(unit as f32);
+    let table_len = model.output_classes() * CONV_FILTERS;
+    let table_start = count.saturating_sub(table_len);
+    let mut conv = [0f32; CONV_WEIGHTS];
+    let mut classifier = Vec::with_capacity(table_len);
+    for (i, state) in states(model).enumerate() {
+        each_byte(quantize(state));
+        if let Some(slot) = conv.get_mut(i) {
+            *slot = unit(state);
+        }
+        if i >= table_start {
+            classifier.push(unit(state));
+        }
     }
-    out
+    for i in classifier.len()..table_len {
+        classifier.push(classifier[i % count]);
+    }
+    ForwardWeights { conv, classifier }
+}
+
+/// The xorshift states behind `model`'s weights, one per simulated
+/// parameter.
+fn states(model: ModelKind) -> impl Iterator<Item = u64> {
+    let mut state = seed_for(model);
+    (0..model.simulated_param_count() as usize).map(move |_| {
+        state = xorshift(state);
+        state
+    })
+}
+
+fn quantize(state: u64) -> u8 {
+    (state & 0xFF) as u8
+}
+
+/// Maps a state to `[-1, 1)`.
+fn unit(state: u64) -> f32 {
+    (((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0) as f32
 }
 
 /// Seed derived from the model's name (FNV-1a).
@@ -100,6 +152,29 @@ mod tests {
                 model.simulated_param_count()
             );
         }
+    }
+
+    #[test]
+    fn one_walk_yields_the_blob_and_the_forward_weights() {
+        // SqueezeNet's blob is smaller than its classifier table (wrap
+        // around); ResNet-50's is larger (tail only).
+        for model in [ModelKind::SqueezeNet, ModelKind::Resnet50Pt] {
+            let floats = float_weights(model);
+            let mut bytes = Vec::new();
+            let forward = walk(model, |byte| bytes.push(byte));
+            assert_eq!(bytes, quantized_weights(model));
+            assert_eq!(forward.conv[..], floats[..CONV_WEIGHTS]);
+            let table_len = model.output_classes() * CONV_FILTERS;
+            let start = floats.len().saturating_sub(table_len);
+            let expected: Vec<f32> = (0..table_len)
+                .map(|i| floats[(start + i) % floats.len()])
+                .collect();
+            assert_eq!(forward.classifier, expected, "{model}");
+        }
+        assert_eq!(
+            quantized_prefix::<32>(ModelKind::Vgg16)[..],
+            quantized_weights(ModelKind::Vgg16)[..32]
+        );
     }
 
     #[test]

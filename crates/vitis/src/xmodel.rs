@@ -20,7 +20,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::model::ModelKind;
-use crate::weights;
+use crate::weights::{self, ForwardWeights};
 
 /// Magic bytes at the start of a serialized container.
 pub const XMODEL_MAGIC: &[u8; 4] = b"XMOD";
@@ -91,9 +91,7 @@ impl Error for ParseXmodelError {}
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct XModel {
-    kind: ModelKind,
-    strings: Vec<String>,
-    tensors: Vec<TensorDesc>,
+    head: Head,
     weights: Vec<u8>,
 }
 
@@ -101,58 +99,25 @@ impl XModel {
     /// Builds the container for a zoo model: identifying strings, the three
     /// canonical tensors and the deterministic quantized weights.
     pub fn build(kind: ModelKind) -> Self {
-        let (w, h) = kind.input_dims();
-        let weights = weights::quantized_weights(kind);
-        let strings = vec![
-            kind.xmodel_path(),
-            format!("models/{}/{}", kind.name(), kind.name()),
-            format!("torchvision/{}", kind.name()),
-            format!("vitis_ai_library/lib{}_runner.so", kind.name()),
-            "DPUCZDX8G".to_string(),
-            "subgraph_conv1".to_string(),
-            format!("meta: framework=pytorch model={}", kind.name()),
-        ];
-        let tensors = vec![
-            TensorDesc {
-                name: "input".to_string(),
-                shape: vec![1, 3, h, w],
-                offset: 0,
-                len: (w * h * 3) as u64,
-            },
-            TensorDesc {
-                name: "weights".to_string(),
-                shape: vec![kind.simulated_param_count() as u32],
-                offset: 0,
-                len: weights.len() as u64,
-            },
-            TensorDesc {
-                name: "logits".to_string(),
-                shape: vec![1, kind.output_classes() as u32],
-                offset: 0,
-                len: (kind.output_classes() * 4) as u64,
-            },
-        ];
         XModel {
-            kind,
-            strings,
-            tensors,
-            weights,
+            head: Head::new(kind),
+            weights: weights::quantized_weights(kind),
         }
     }
 
     /// The model this container holds.
     pub fn kind(&self) -> ModelKind {
-        self.kind
+        self.head.kind
     }
 
     /// The string table.
     pub fn strings(&self) -> &[String] {
-        &self.strings
+        &self.head.strings
     }
 
     /// The tensor descriptors.
     pub fn tensors(&self) -> &[TensorDesc] {
-        &self.tensors
+        &self.head.tensors
     }
 
     /// The quantized weight blob.
@@ -162,29 +127,9 @@ impl XModel {
 
     /// Serializes the container to its on-disk / in-heap byte layout.
     pub fn serialize(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(XMODEL_MAGIC);
-        out.extend_from_slice(&XMODEL_VERSION.to_le_bytes());
-        let name = self.kind.name().as_bytes();
-        out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-        out.extend_from_slice(name);
-        out.extend_from_slice(&(self.strings.len() as u32).to_le_bytes());
-        for s in &self.strings {
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-        out.extend_from_slice(&(self.tensors.len() as u32).to_le_bytes());
-        for t in &self.tensors {
-            out.extend_from_slice(&(t.name.len() as u32).to_le_bytes());
-            out.extend_from_slice(t.name.as_bytes());
-            out.extend_from_slice(&(t.shape.len() as u32).to_le_bytes());
-            for dim in &t.shape {
-                out.extend_from_slice(&dim.to_le_bytes());
-            }
-            out.extend_from_slice(&t.offset.to_le_bytes());
-            out.extend_from_slice(&t.len.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.weights.len() as u64).to_le_bytes());
+        let mut out = Vec::with_capacity(self.serialized_len());
+        self.head
+            .write(self.weights.len(), |bytes| out.extend_from_slice(bytes));
         out.extend_from_slice(&self.weights);
         out
     }
@@ -238,16 +183,124 @@ impl XModel {
         let weights_len = cursor.u64()? as usize;
         let weights = cursor.take(weights_len)?.to_vec();
         Ok(XModel {
-            kind,
-            strings,
-            tensors,
+            head: Head {
+                kind,
+                strings,
+                tensors,
+            },
             weights,
         })
     }
 
     /// Total serialized size in bytes.
     pub fn serialized_len(&self) -> usize {
-        self.serialize().len()
+        self.head.serialized_len(self.weights.len())
+    }
+}
+
+/// A container without its weight blob: the model, its string table and its
+/// tensor descriptors.
+///
+/// The DPU runner serializes a zoo model's container straight into the
+/// victim's heap from this, generating the weights in place
+/// ([`Head::write_into`]), so no [`XModel`] is built per launch.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Head {
+    kind: ModelKind,
+    strings: Vec<String>,
+    tensors: Vec<TensorDesc>,
+}
+
+impl Head {
+    /// The head of `kind`'s container: its identifying strings and the three
+    /// canonical tensors.
+    pub(crate) fn new(kind: ModelKind) -> Self {
+        let (w, h) = kind.input_dims();
+        let strings = vec![
+            kind.xmodel_path(),
+            format!("models/{}/{}", kind.name(), kind.name()),
+            format!("torchvision/{}", kind.name()),
+            format!("vitis_ai_library/lib{}_runner.so", kind.name()),
+            "DPUCZDX8G".to_string(),
+            "subgraph_conv1".to_string(),
+            format!("meta: framework=pytorch model={}", kind.name()),
+        ];
+        let tensors = vec![
+            TensorDesc {
+                name: "input".to_string(),
+                shape: vec![1, 3, h, w],
+                offset: 0,
+                len: (w * h * 3) as u64,
+            },
+            TensorDesc {
+                name: "weights".to_string(),
+                shape: vec![kind.simulated_param_count() as u32],
+                offset: 0,
+                len: kind.simulated_param_count(),
+            },
+            TensorDesc {
+                name: "logits".to_string(),
+                shape: vec![1, kind.output_classes() as u32],
+                offset: 0,
+                len: (kind.output_classes() * 4) as u64,
+            },
+        ];
+        Head {
+            kind,
+            strings,
+            tensors,
+        }
+    }
+
+    /// Length of the serialized container around a `weights_len`-byte blob.
+    pub(crate) fn serialized_len(&self, weights_len: usize) -> usize {
+        let mut len = weights_len;
+        self.write(weights_len, |bytes| len += bytes.len());
+        len
+    }
+
+    /// Serializes the zoo model's whole container into `out`, which must be
+    /// exactly `serialized_len(simulated_param_count)` bytes long, generating
+    /// the weight blob in place.  Returns the forward-pass weights captured
+    /// from the same walk of the weight stream.
+    pub(crate) fn write_into(&self, out: &mut [u8]) -> ForwardWeights {
+        let mut pos = 0;
+        let blob_len = self.kind.simulated_param_count() as usize;
+        self.write(blob_len, |bytes| {
+            out[pos..pos + bytes.len()].copy_from_slice(bytes);
+            pos += bytes.len();
+        });
+        let mut blob = out[pos..].iter_mut();
+        weights::walk(self.kind, |byte| {
+            *blob.next().expect("buffer sized by serialized_len") = byte;
+        })
+    }
+
+    /// Emits the serialized bytes that precede the weight blob, ending with
+    /// the blob's length field.
+    fn write(&self, weights_len: usize, mut put: impl FnMut(&[u8])) {
+        put(XMODEL_MAGIC);
+        put(&XMODEL_VERSION.to_le_bytes());
+        let name = self.kind.name().as_bytes();
+        put(&(name.len() as u16).to_le_bytes());
+        put(name);
+        put(&(self.strings.len() as u32).to_le_bytes());
+        for s in &self.strings {
+            put(&(s.len() as u32).to_le_bytes());
+            put(s.as_bytes());
+        }
+        put(&(self.tensors.len() as u32).to_le_bytes());
+        for t in &self.tensors {
+            put(&(t.name.len() as u32).to_le_bytes());
+            put(t.name.as_bytes());
+            put(&(t.shape.len() as u32).to_le_bytes());
+            for dim in &t.shape {
+                put(&dim.to_le_bytes());
+            }
+            put(&t.offset.to_le_bytes());
+            put(&t.len.to_le_bytes());
+        }
+        put(&(weights_len as u64).to_le_bytes());
     }
 }
 
