@@ -29,12 +29,6 @@
 //! pool — the `evaluate_*` sweeps are campaign specs, and `--fingerprint`,
 //! `--boards` and `--campaign` build their specs directly.
 
-// Lint audit: casts here narrow counters and ratios for table/JSON
-// display, and indexes walk rows produced by the same loop — no value
-// feeds back into address arithmetic.
-#![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
-
-use msa_bench::{attacker_debugger, ATTACKER_USER, VICTIM_USER};
 use msa_core::attack::{AttackConfig, AttackPipeline};
 use msa_core::campaign::{CampaignSpec, CampaignSummary, InputKind, StreamConfig};
 use msa_core::defense::{
@@ -45,9 +39,16 @@ use msa_core::defense::{
 use msa_core::profile::Profiler;
 use msa_core::report::{bytes, json_array, percent, JsonObject, TextTable};
 use msa_core::{ScrapeMode, VictimSchedule};
-use petalinux_sim::{BoardConfig, IsolationPolicy, Kernel, Shell};
+use petalinux_sim::{BoardConfig, IsolationPolicy, Kernel, Shell, UserId};
 use vitis_ai_sim::{DpuRunner, Image, ModelKind};
+use xsdb::DebugSession;
 use zynq_dram::{RemanenceModel, SanitizePolicy};
+
+/// The victim user id used throughout the experiments.
+const VICTIM_USER: UserId = UserId::new(0);
+
+/// The attacker user id used throughout the experiments.
+const ATTACKER_USER: UserId = UserId::new(1);
 
 const KNOWN_FLAGS: &[&str] = &[
     "--all",
@@ -181,9 +182,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if figure_flags.iter().any(|f| options.want(f)) {
         attack_walkthrough(&options)?;
     }
-    if options.want("--timing") {
-        write_substrates_bench(&options)?;
-    }
     if options.want("--defenses") {
         defenses(&options)?;
     }
@@ -271,7 +269,7 @@ fn attack_walkthrough(options: &Options) -> Result<(), Box<dyn std::error::Error
 
     let mut kernel = Kernel::boot(board);
     let shell = Shell::new(ATTACKER_USER);
-    let mut debugger = attacker_debugger();
+    let mut debugger = DebugSession::connect(ATTACKER_USER);
 
     // Background processes so the listings have the paper's shape (a kernel
     // worker thread and the attacker's own shell).
@@ -356,7 +354,8 @@ fn attack_walkthrough(options: &Options) -> Result<(), Box<dyn std::error::Error
                 run.offset, run.len
             );
             let hexdump = dump.to_hexdump();
-            for row in hexdump.rows().skip(run.offset as usize / 16).take(4) {
+            let first_row = usize::try_from(run.offset)? / 16;
+            for row in hexdump.rows().skip(first_row).take(4) {
                 println!("{}", row.render());
             }
         }
@@ -397,101 +396,6 @@ fn attack_walkthrough(options: &Options) -> Result<(), Box<dyn std::error::Error
             percent(outcome.dump_coverage)
         );
     }
-    Ok(())
-}
-
-/// Rides along with `--timing`: measures the arena store's owned and
-/// zero-copy 8 MiB scrape (plus the full-region scrub) against the pre-arena
-/// HashMap-stripe baseline, and records the comparison in
-/// `BENCH_substrates.json` (schema `msa-bench-substrates-v1`) — the
-/// cross-PR perf trajectory record for the storage substrate, the companion
-/// of `BENCH_campaign.json`.
-///
-/// The note goes to stderr: the golden-output tests pin `--timing` stdout
-/// byte-for-byte, and wall-clock results belong in the JSON artifact, not
-/// the table stream.
-fn write_substrates_bench(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    use msa_bench::baseline::HashMapStripeStore;
-    use std::time::{Duration, Instant};
-    use zynq_dram::{Dram, DramConfig, OwnerTag};
-
-    /// Region every measurement runs over (fits the tiny test window).
-    const SCRAPE_LEN: u64 = 8 * 1024 * 1024;
-
-    fn time_best_of<F: FnMut()>(runs: usize, mut f: F) -> Duration {
-        let mut best = Duration::MAX;
-        for _ in 0..runs {
-            let started = Instant::now();
-            f();
-            best = best.min(started.elapsed());
-        }
-        best
-    }
-
-    let config = if options.tiny {
-        DramConfig::tiny_for_tests()
-    } else {
-        DramConfig::zcu104()
-    };
-    let base = config.base();
-    let owner = OwnerTag::new(1391);
-    let mut buf = vec![0u8; SCRAPE_LEN as usize];
-
-    // The storage scheme the arena replaced: per-bank HashMaps of boxed
-    // stripes, one hash lookup per stripe on every access.
-    let mut hashmap = HashMapStripeStore::new(config);
-    hashmap.fill(base, SCRAPE_LEN, 0xC3);
-    let baseline_read = time_best_of(5, || hashmap.read_bytes(base, &mut buf));
-    let mut baseline_scrub = Duration::MAX;
-    for _ in 0..3 {
-        hashmap.fill(base, SCRAPE_LEN, 0xFF);
-        let started = Instant::now();
-        hashmap.scrub_range(base, SCRAPE_LEN);
-        baseline_scrub = baseline_scrub.min(started.elapsed());
-    }
-
-    // The arena store: owned read (offset arithmetic + bulk copy per
-    // stripe), zero-copy borrowed view (O(chunks) pointer pushes, no byte
-    // ever copied), and the fill-over-slab-ranges scrub.
-    let mut dram = Dram::new(config);
-    dram.fill(base, SCRAPE_LEN, 0xC3, owner)?;
-    let arena_read = time_best_of(5, || dram.read_bytes(base, &mut buf).unwrap());
-    let arena_view = time_best_of(5, || {
-        let view = dram
-            .scrape_view(base, SCRAPE_LEN)
-            .unwrap()
-            .expect("perfect remanence hands out borrowed views");
-        std::hint::black_box(view.len());
-    });
-    let mut arena_scrub = Duration::MAX;
-    for _ in 0..3 {
-        dram.fill(base, SCRAPE_LEN, 0xFF, owner)?;
-        let started = Instant::now();
-        dram.scrub_range(base, SCRAPE_LEN)?;
-        arena_scrub = arena_scrub.min(started.elapsed());
-    }
-
-    let ratio = |baseline: Duration, new: Duration| {
-        baseline.as_secs_f64() / new.as_secs_f64().max(f64::MIN_POSITIVE)
-    };
-    let json = JsonObject::new()
-        .str("schema", "msa-bench-substrates-v1")
-        .str("board", options.board_name())
-        .u64("scrape_len_bytes", SCRAPE_LEN)
-        .u64("baseline_hashmap_read_ns", baseline_read.as_nanos() as u64)
-        .u64("arena_read_ns", arena_read.as_nanos() as u64)
-        .u64("arena_view_ns", arena_view.as_nanos() as u64)
-        .u64(
-            "baseline_hashmap_scrub_ns",
-            baseline_scrub.as_nanos() as u64,
-        )
-        .u64("arena_scrub_ns", arena_scrub.as_nanos() as u64)
-        .f64("speedup_arena_read", ratio(baseline_read, arena_read))
-        .f64("speedup_arena_view", ratio(baseline_read, arena_view))
-        .f64("speedup_arena_scrub", ratio(baseline_scrub, arena_scrub))
-        .finish();
-    std::fs::write("BENCH_substrates.json", format!("{json}\n"))?;
-    eprintln!("wrote BENCH_substrates.json");
     Ok(())
 }
 
@@ -734,7 +638,10 @@ fn livetraffic(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
                     .with_seed(41),
             )
             .run()?;
-        let record = &report.cells()[0];
+        let record = report
+            .cells()
+            .first()
+            .ok_or("live-traffic campaign ran no cell")?;
         let metrics = record.metrics.as_ref().expect("permissive cells complete");
         let lifetime = metrics.residue_lifetime;
         table.add_row(vec![
@@ -811,9 +718,10 @@ fn banks(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
         // Scrape: serial read vs bank-parallel scrape of the filled region.
         let mut dram = Dram::new(config);
         fill_target(&mut dram);
-        let mut serial_buf = vec![0u8; region as usize];
+        let region_len = usize::try_from(region)?;
+        let mut serial_buf = vec![0u8; region_len];
         let scrape_serial = time_best_of(3, || dram.read_bytes(base, &mut serial_buf).unwrap());
-        let mut parallel_buf = vec![0u8; region as usize];
+        let mut parallel_buf = vec![0u8; region_len];
         let scrape_parallel = time_best_of(3, || {
             dram.scrape_banks_parallel(base, &mut parallel_buf, BANK_WORKERS)
                 .unwrap()
@@ -936,12 +844,12 @@ fn remanence(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
         ]);
     }
     println!("{table}");
-    let identical = rows.chunks(2).all(|pair| {
-        pair[0].model_identified == pair[1].model_identified
-            && pair[0].pixel_recovery == pair[1].pixel_recovery
-            && pair[0].decayed_recovery == pair[1].decayed_recovery
-            && pair[0].residue_bits_flipped == pair[1].residue_bits_flipped
-            && pair[0].residue_bytes_raw == pair[1].residue_bytes_raw
+    let identical = rows.chunks_exact(2).all(|pair| {
+        matches!(pair, [a, b] if a.model_identified == b.model_identified
+            && a.pixel_recovery == b.pixel_recovery
+            && a.decayed_recovery == b.decayed_recovery
+            && a.residue_bits_flipped == b.residue_bits_flipped
+            && a.residue_bytes_raw == b.residue_bytes_raw)
     });
     println!("bank-striped decayed scrape identical to sequential: {identical}\n");
     Ok(())
@@ -1186,18 +1094,13 @@ fn campaign(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("=== CAMPAIGN: fleet-scale scenario matrix (tiny board) ===");
     let report = spec.run()?;
-    let clock = report.wall_clock();
     println!(
-        "{} cells on {} workers: {} completed, {} blocked, {} identified",
+        "{} cells on {} workers: {} completed, {} blocked, {} identified\n",
         report.len(),
         report.workers(),
         report.completed_count(),
         report.blocked_count(),
         report.identified_count(),
-    );
-    println!(
-        "wall-clock: total {:?}, serial-equivalent {:?}, cell min/mean/max {:?}/{:?}/{:?}\n",
-        clock.total, clock.cells_total, clock.min_cell, clock.mean_cell, clock.max_cell
     );
 
     for (title, groups) in [
@@ -1323,10 +1226,9 @@ fn report_stream_summary(
         totals.identified,
     );
     println!(
-        "mean pixel recovery {}, peak resident cells {}, throughput {:.0} cells/sec",
+        "mean pixel recovery {}, peak resident cells {}",
         percent(totals.mean_pixel_recovery),
         summary.peak_resident_cells,
-        summary.cells_per_sec(),
     );
     std::fs::write(
         "BENCH_campaign.json",

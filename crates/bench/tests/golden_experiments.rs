@@ -169,86 +169,11 @@ fn audit_stdout_is_pinned() {
     assert_matches_golden(&["--audit"], "experiments_audit.txt");
 }
 
-/// JSON keys in `BENCH_substrates.json` whose values are wall-clock
-/// measurements or ratios derived from them.  Field names, field order and
-/// the deterministic values (schema, board, region size) stay pinned.
-const SUBSTRATES_VOLATILE_KEYS: &[&str] = &[
-    "baseline_hashmap_read_ns",
-    "arena_read_ns",
-    "arena_view_ns",
-    "baseline_hashmap_scrub_ns",
-    "arena_scrub_ns",
-    "speedup_arena_read",
-    "speedup_arena_view",
-    "speedup_arena_scrub",
-];
-
-/// Replaces the numeric value after every volatile key with `<N>`.
-fn mask_substrates_volatile(raw: &str) -> String {
-    let mut masked = raw.to_string();
-    for key in SUBSTRATES_VOLATILE_KEYS {
-        let pattern = format!("\"{key}\":");
-        if let Some(pos) = masked.find(&pattern) {
-            let after = pos + pattern.len();
-            let tail = &masked[after..];
-            let end = tail
-                .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-                .unwrap_or(tail.len());
-            masked = format!("{}<N>{}", &masked[..after], &tail[end..]);
-        }
-    }
-    masked
-}
-
-#[test]
-fn substrates_bench_artifact_schema_is_pinned() {
-    // `--timing` writes BENCH_substrates.json into its working directory,
-    // so run from a scratch directory instead of polluting the repo.
-    let scratch =
-        std::env::temp_dir().join(format!("msa-golden-substrates-{}", std::process::id()));
-    std::fs::create_dir_all(&scratch).expect("scratch dir created");
-
-    let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args(["--timing", "--tiny"])
-        .current_dir(&scratch)
-        .output()
-        .expect("experiments binary runs");
-    assert!(
-        output.status.success(),
-        "experiments exited with {:?}: {}",
-        output.status,
-        String::from_utf8_lossy(&output.stderr)
-    );
-
-    let bench = std::fs::read_to_string(scratch.join("BENCH_substrates.json"))
-        .expect("BENCH_substrates.json written next to the invocation");
-    let normalized = mask_substrates_volatile(&bench);
-
-    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join("BENCH_substrates.schema.json");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&golden_path, &normalized).expect("golden file written");
-    } else {
-        let golden = std::fs::read_to_string(&golden_path).expect(
-            "golden file exists — regenerate with UPDATE_GOLDEN=1 cargo test -p msa-bench \
-             --test golden_experiments",
-        );
-        assert_eq!(
-            normalized, golden,
-            "BENCH_substrates.json drifted from the committed schema; \
-             if the change is intentional, regenerate with UPDATE_GOLDEN=1"
-        );
-    }
-    std::fs::remove_dir_all(&scratch).ok();
-}
-
 #[test]
 fn reconstruct_bench_artifact_is_pinned() {
-    // Unlike the substrates artifact, every field of BENCH_reconstruct.json
-    // is deterministic — recovery rates, gains and verdicts derive from
-    // logical-tick decay, never wall clock — so the whole artifact is pinned
-    // with no masking.
+    // Every field of BENCH_reconstruct.json is deterministic — recovery
+    // rates, gains and verdicts derive from logical-tick decay, never wall
+    // clock — so the whole artifact is pinned with no masking.
     let scratch =
         std::env::temp_dir().join(format!("msa-golden-reconstruct-{}", std::process::id()));
     std::fs::create_dir_all(&scratch).expect("scratch dir created");

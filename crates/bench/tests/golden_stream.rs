@@ -5,8 +5,8 @@
 //! stdout, plus `BENCH_campaign.json` written to the working directory.
 //! Both are consumed by CI, so their *schema* is a contract: field names,
 //! field order and every deterministic value are pinned here byte-for-byte.
-//! Only genuinely run-dependent numbers — residency snapshots, wall-clock
-//! milliseconds and derived throughput — are masked to `<N>`.
+//! Only genuinely run-dependent numbers — residency snapshots and the
+//! progress lines' wall-clock milliseconds — are masked to `<N>`.
 //!
 //! To regenerate after an intentional schema change:
 //!
@@ -23,13 +23,7 @@ use std::process::Command;
 /// JSON keys whose values depend on wall clock or scheduling, never on the
 /// science.  Everything else in the NDJSON lines and the bench file is
 /// deterministic and stays pinned exactly.
-const VOLATILE_KEYS: &[&str] = &[
-    "resident_cells",
-    "peak_resident_cells",
-    "elapsed_ms",
-    "wall_clock_ms",
-    "cells_per_sec",
-];
+const VOLATILE_KEYS: &[&str] = &["resident_cells", "peak_resident_cells", "elapsed_ms"];
 
 /// Replaces the numeric value after every occurrence of `"<key>":` with
 /// `<N>`, for each volatile key.
@@ -55,17 +49,14 @@ fn mask_volatile(raw: &str) -> String {
     masked
 }
 
-/// Masks the run-dependent numbers of the human summary line (`peak
-/// resident cells N, throughput N cells/sec`) while keeping the
-/// deterministic recovery percentage pinned.
+/// Masks the run-dependent number of the human summary line (`peak
+/// resident cells N`) while keeping the deterministic recovery percentage
+/// pinned.
 fn mask_summary_line(line: &str) -> String {
     match line.strip_prefix("mean pixel recovery ") {
         Some(rest) => {
             let recovery = rest.split(',').next().unwrap_or("");
-            format!(
-                "mean pixel recovery {recovery}, peak resident cells <N>, \
-                 throughput <N> cells/sec"
-            )
+            format!("mean pixel recovery {recovery}, peak resident cells <N>")
         }
         None => line.to_string(),
     }
@@ -136,17 +127,15 @@ fn streaming_ndjson_and_bench_schema_are_pinned() {
 #[test]
 fn masking_touches_only_volatile_fields() {
     let masked = mask_volatile(
-        r#"{"completed":8,"resident_cells":32,"peak_resident_cells":64,"elapsed_ms":1675,"cells_per_sec":14.67,"wall_clock_ms":9}"#,
+        r#"{"completed":8,"resident_cells":32,"peak_resident_cells":64,"elapsed_ms":1675}"#,
     );
     assert_eq!(
         masked,
-        r#"{"completed":8,"resident_cells":<N>,"peak_resident_cells":<N>,"elapsed_ms":<N>,"cells_per_sec":<N>,"wall_clock_ms":<N>}"#
+        r#"{"completed":8,"resident_cells":<N>,"peak_resident_cells":<N>,"elapsed_ms":<N>}"#
     );
     assert_eq!(
-        mask_summary_line(
-            "mean pixel recovery 66.7%, peak resident cells 64, throughput 15 cells/sec"
-        ),
-        "mean pixel recovery 66.7%, peak resident cells <N>, throughput <N> cells/sec"
+        mask_summary_line("mean pixel recovery 66.7%, peak resident cells 64"),
+        "mean pixel recovery 66.7%, peak resident cells <N>"
     );
     // Non-volatile content is untouched.
     assert_eq!(mask_volatile(r#"{"cells":16}"#), r#"{"cells":16}"#);

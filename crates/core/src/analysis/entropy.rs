@@ -13,7 +13,6 @@
 // derived from validated window-relative coordinates.
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
-use serde::{Deserialize, Serialize};
 use zynq_dram::ScrapeView;
 
 use crate::dump::MemoryDump;
@@ -22,7 +21,7 @@ use crate::dump::MemoryDump;
 pub const DEFAULT_WINDOW: usize = 1024;
 
 /// Coarse content class of one window of the dump.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegionClass {
     /// Entirely zero bytes (unused or scrubbed memory).
     Zero,
@@ -53,7 +52,7 @@ impl std::fmt::Display for RegionClass {
 }
 
 /// One classified window of the dump.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Region {
     /// Byte offset of the window within the dump.
     pub offset: u64,
@@ -158,7 +157,7 @@ pub fn classify_regions_view(view: &ScrapeView<'_>, window: usize) -> Vec<Region
 }
 
 /// Summary of a classified dump: how many bytes fall in each class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RegionSummary {
     /// Bytes classified as zero.
     pub zero: u64,

@@ -11,7 +11,6 @@
 
 use std::ops::ControlFlow;
 
-use serde::{Deserialize, Serialize};
 use zynq_dram::ScrapeView;
 
 use crate::dump::MemoryDump;
@@ -23,7 +22,7 @@ pub const CORRUPTED_MARKER: u32 = 0xFFFF_FFFF;
 pub const SENTINEL_MARKER: u32 = 0x5555_5555;
 
 /// A maximal run of a repeated marker word.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MarkerRun {
     /// Byte offset of the run within the dump.
     pub offset: u64,

@@ -14,7 +14,6 @@
 // derived from validated window-relative coordinates.
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
-use serde::{Deserialize, Serialize};
 use vitis_ai_sim::{weights, ModelKind};
 use zynq_dram::ScrapeView;
 
@@ -24,7 +23,7 @@ use crate::dump::MemoryDump;
 pub const PROBE_LEN: usize = 64;
 
 /// A weight-fingerprint match.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeightMatch {
     /// The model whose public weights matched.
     pub model: ModelKind,

@@ -3,7 +3,6 @@
 use std::time::{Duration, Instant};
 
 use petalinux_sim::{Kernel, Pid};
-use serde::{Deserialize, Serialize};
 use vitis_ai_sim::ModelKind;
 use xsdb::DebugSession;
 
@@ -22,7 +21,7 @@ use crate::signature::SignatureDb;
 use crate::translate::{capture_heap_translation, HeapTranslation};
 
 /// How physical memory is read during scraping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 #[derive(Default)]
 pub enum ScrapeMode {
@@ -120,7 +119,7 @@ impl std::fmt::Display for ScrapeMode {
 }
 
 /// Configuration of the attack pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttackConfig {
     /// How to read physical memory in Step 3.
     pub scrape_mode: ScrapeMode,

@@ -55,7 +55,6 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use petalinux_sim::{BoardConfig, IsolationPolicy};
-use serde::{Deserialize, Serialize};
 use vitis_ai_sim::{Image, ModelKind};
 use zynq_dram::{RemanenceModel, SanitizePolicy};
 use zynq_mmu::{AllocationOrder, AslrMode};
@@ -68,7 +67,7 @@ use crate::scenario::{AttackScenario, ScenarioMetrics, ScenarioResult, VictimSch
 
 /// Which input image the victim feeds its model — a campaign axis standing in
 /// for "input kind" in the paper's matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 #[derive(Default)]
 pub enum InputKind {
@@ -104,7 +103,7 @@ impl std::fmt::Display for InputKind {
 }
 
 /// One fully resolved point of the campaign matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignCell {
     /// Position of the cell in the spec's deterministic expansion order.
     pub index: usize,
@@ -554,7 +553,6 @@ impl CampaignSpec {
         Ok(CampaignReport {
             cells: records,
             workers: summary.workers,
-            total_elapsed: summary.total_elapsed,
         })
     }
 
@@ -785,7 +783,7 @@ impl CellRecord {
 /// `mean_revival_inheritance`.  The old blocked-cells-count-as-zero
 /// semantics survives only on the documented report-wide
 /// [`CampaignReport::mean_pixel_recovery`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct GroupStats {
     /// Cells in the group.
     pub cells: usize,
@@ -924,29 +922,12 @@ impl GroupStats {
     }
 }
 
-/// Wall-clock statistics of a campaign run.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct WallClockStats {
-    /// End-to-end campaign duration (includes shared profiling).
-    pub total: Duration,
-    /// Sum of per-cell durations (the serial-equivalent work).
-    pub cells_total: Duration,
-    /// Fastest cell.
-    pub min_cell: Duration,
-    /// Slowest cell.
-    pub max_cell: Duration,
-    /// Mean cell duration.
-    pub mean_cell: Duration,
-}
-
 /// Aggregated result of a campaign run: per-cell records in deterministic
-/// cell order plus grouped success/recovery/blocked rates and wall-clock
-/// statistics.
+/// cell order plus grouped success/recovery/blocked rates.
 #[derive(Debug, Clone)]
 pub struct CampaignReport {
     cells: Vec<CellRecord>,
     workers: usize,
-    total_elapsed: Duration,
 }
 
 impl CampaignReport {
@@ -1020,25 +1001,7 @@ impl CampaignReport {
         for record in &self.cells {
             accumulator.absorb(record);
         }
-        accumulator.into_summary(self.workers, 0, self.len(), self.total_elapsed, Vec::new())
-    }
-
-    /// Wall-clock statistics of the run.
-    pub fn wall_clock(&self) -> WallClockStats {
-        if self.cells.is_empty() {
-            return WallClockStats {
-                total: self.total_elapsed,
-                ..WallClockStats::default()
-            };
-        }
-        let cells_total: Duration = self.cells.iter().map(|c| c.elapsed).sum();
-        WallClockStats {
-            total: self.total_elapsed,
-            cells_total,
-            min_cell: self.cells.iter().map(|c| c.elapsed).min().unwrap(),
-            max_cell: self.cells.iter().map(|c| c.elapsed).max().unwrap(),
-            mean_cell: cells_total / self.cells.len() as u32,
-        }
+        accumulator.into_summary(self.workers, 0, self.len(), Vec::new())
     }
 }
 
@@ -1143,11 +1106,6 @@ mod tests {
         let permissive = &by_isolation["permissive"];
         assert_eq!(permissive.completed, 2);
         assert_eq!(permissive.identified, 1);
-
-        let clock = report.wall_clock();
-        assert!(clock.total > Duration::ZERO);
-        assert!(clock.min_cell <= clock.max_cell);
-        assert!(clock.cells_total >= clock.max_cell);
 
         let blocked: Vec<_> = report
             .cells()

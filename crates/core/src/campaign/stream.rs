@@ -154,7 +154,8 @@ impl GroupProgress {
     }
 }
 
-/// Wall-clock record of one folded cell group, kept for the bench report.
+/// Record of one folded cell group: where it sits in the matrix and the wall
+/// clock its worker spent on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupSummary {
     /// Group (block) index.
@@ -173,7 +174,6 @@ impl GroupSummary {
             .u64("block", self.block as u64)
             .u64("first_cell", self.first_cell as u64)
             .u64("cells", self.cells as u64)
-            .u64("wall_clock_ms", self.wall_clock.as_millis() as u64)
             .finish()
     }
 }
@@ -331,7 +331,6 @@ impl CampaignAccumulator {
         workers: usize,
         block_size: usize,
         peak_resident_cells: usize,
-        total_elapsed: Duration,
         groups: Vec<GroupSummary>,
     ) -> CampaignSummary {
         CampaignSummary {
@@ -341,14 +340,14 @@ impl CampaignAccumulator {
             workers,
             block_size,
             peak_resident_cells,
-            total_elapsed,
             groups,
         }
     }
 }
 
 /// The result of a streamed campaign: deterministic aggregates (totals +
-/// per-axis groups) plus the run's wall-clock/bench measurements.
+/// per-axis groups) plus the run's scheduling shape (workers, blocks,
+/// residency).
 #[derive(Debug, Clone)]
 pub struct CampaignSummary {
     /// Total cells the campaign folded.
@@ -364,23 +363,11 @@ pub struct CampaignSummary {
     pub block_size: usize,
     /// Peak cells simultaneously resident (claimed or awaiting fold).
     pub peak_resident_cells: usize,
-    /// End-to-end wall clock (includes shared profiling).
-    pub total_elapsed: Duration,
-    /// Per-group wall-clock records, in group order.
+    /// Per-group records, in group order.
     pub groups: Vec<GroupSummary>,
 }
 
 impl CampaignSummary {
-    /// Fold throughput in cells per second (0.0 for a zero-duration run).
-    pub fn cells_per_sec(&self) -> f64 {
-        let secs = self.total_elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.cells_total as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
     /// The deterministic comparison surface: totals and per-axis groups as
     /// canonical JSON, excluding every scheduling/wall-clock artifact
     /// (workers, block size, residency, durations).
@@ -397,8 +384,8 @@ impl CampaignSummary {
     }
 
     /// Renders the `BENCH_campaign.json` document: the deterministic
-    /// headline counts plus throughput, residency and per-group wall-clock
-    /// — the cross-PR perf trajectory record.
+    /// headline counts plus the run's scheduling shape — workers, block
+    /// structure and peak residency.  It carries no timings.
     pub fn bench_json(&self, name: &str) -> String {
         JsonObject::new()
             .str("schema", "msa-bench-campaign-v1")
@@ -412,8 +399,6 @@ impl CampaignSummary {
             .u64("block_size", self.block_size as u64)
             .u64("blocks", self.groups.len() as u64)
             .u64("peak_resident_cells", self.peak_resident_cells as u64)
-            .u64("elapsed_ms", self.total_elapsed.as_millis() as u64)
-            .f64("cells_per_sec", self.cells_per_sec())
             .raw(
                 "groups",
                 &json_array(self.groups.iter().map(|group| group.to_json())),
@@ -671,7 +656,7 @@ where
             .lock()
             .expect("stream state poisoned")
             .peak_resident_cells;
-        Ok(accumulator.into_summary(workers, block_size, peak, started.elapsed(), groups))
+        Ok(accumulator.into_summary(workers, block_size, peak, groups))
     });
     #[cfg(feature = "race-check")]
     race_log.finish();
@@ -808,8 +793,8 @@ mod tests {
         assert!(
             bench.starts_with("{\"schema\":\"msa-bench-campaign-v1\",\"campaign\":\"synthetic\",")
         );
-        assert!(bench.contains("\"cells_per_sec\":"));
-        assert!(bench.contains("\"wall_clock_ms\":"));
+        assert!(!bench.contains("_ms\":"));
+        assert!(!bench.contains("per_sec\":"));
     }
 
     #[test]

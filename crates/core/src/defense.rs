@@ -25,7 +25,6 @@
 #![allow(clippy::indexing_slicing)]
 
 use petalinux_sim::{BoardConfig, IsolationPolicy};
-use serde::{Deserialize, Serialize};
 use vitis_ai_sim::ModelKind;
 use zynq_dram::{RemanenceModel, SanitizePolicy};
 use zynq_mmu::{AllocationOrder, AslrMode};
@@ -58,7 +57,7 @@ fn completed_metrics(record: &CellRecord) -> Result<&ScenarioMetrics, AttackErro
 }
 
 /// One row of the sanitization-policy sweep (TAB-B).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SanitizeRow {
     /// The policy under test.
     pub policy: SanitizePolicy,
@@ -107,7 +106,7 @@ pub fn evaluate_sanitize_policies(
 }
 
 /// One row of the isolation-policy ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IsolationRow {
     /// The isolation policy under test.
     pub isolation: IsolationPolicy,
@@ -159,7 +158,7 @@ pub fn evaluate_isolation(
 }
 
 /// One row of the layout-randomization sweep (TAB-D).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayoutRow {
     /// Physical frame allocation order.
     pub allocation_order: AllocationOrder,
@@ -210,7 +209,7 @@ pub fn evaluate_layout_randomization(
 
 /// One row of the bank-striping sweep: what the bank-striped attacker
 /// recovers next to the paper's single-sweep attacker.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BankStripeRow {
     /// The scraping strategy the attacker used.
     pub scrape_mode: ScrapeMode,
@@ -268,7 +267,7 @@ pub fn evaluate_bank_striping(
 /// One row of the remanence sweep: what the attack still recovers when the
 /// residue decays analog-style (Pentimento) between termination and the
 /// scrape.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RemanenceRow {
     /// The remanence decay model under test.
     pub remanence: RemanenceModel,
@@ -364,7 +363,7 @@ pub fn evaluate_remanence(
 /// recovers at a remanence point versus the decay-tolerant reconstructor
 /// ([`crate::analysis::reconstruct`]) at the **same cell seed** — the paired
 /// columns of the `--reconstruct` experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReconstructRow {
     /// The remanence decay model under test.
     pub remanence: RemanenceModel,
@@ -464,7 +463,7 @@ pub fn evaluate_reconstruction(
 /// One row of the revival (Resurrection-style) sweep: what a sanitization
 /// policy leaves for a successor process that re-allocates the victim's pid
 /// and frames before the scrape runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RevivalRow {
     /// The policy under test.
     pub policy: SanitizePolicy,
@@ -533,7 +532,7 @@ pub fn evaluate_revival(
 
 /// One row of the multi-tenant sweep (TAB-F): what a sanitization policy does
 /// to a *co-resident, still-running* tenant when another tenant terminates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiTenantRow {
     /// The policy under test.
     pub policy: SanitizePolicy,
@@ -599,7 +598,7 @@ pub fn evaluate_multi_tenant(
 /// One row of the compressed-swap sweep: what each sanitization policy
 /// leaves in the swap store, and what the attacker still recovers when it
 /// overlays decompressed slots onto the scraped dump.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SwapRow {
     /// The policy under test.
     pub policy: SanitizePolicy,
@@ -659,7 +658,7 @@ pub fn evaluate_swap(
 
 /// One row of the copy-on-write retention sweep: residue a fork-heavy victim
 /// leaves behind through frames its children still share at scrape time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CowRow {
     /// The policy under test.
     pub policy: SanitizePolicy,

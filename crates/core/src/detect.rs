@@ -11,11 +11,10 @@
 //! the defense discussion can be quantified from the defender's side too.
 
 use petalinux_sim::{Kernel, Pid, UserId};
-use serde::{Deserialize, Serialize};
 use xsdb::{AuditLog, DebugOp};
 
 /// Thresholds for flagging a debug session as a scraping attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectorConfig {
     /// Minimum number of metadata inspections (`maps`, `pagemap`, translate)
     /// of a single foreign pid before the session is considered *targeting*
@@ -39,7 +38,7 @@ impl Default for DetectorConfig {
 }
 
 /// Severity of a detection finding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Unusual but not conclusive (e.g. cross-user metadata reads only).
     Suspicious,
@@ -57,7 +56,7 @@ impl std::fmt::Display for Severity {
 }
 
 /// One detection finding about a debug session.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// The user driving the session.
     pub user: UserId,

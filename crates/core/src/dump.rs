@@ -5,7 +5,6 @@
 // derived from validated window-relative coordinates.
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
-use serde::{Deserialize, Serialize};
 use zynq_dram::{PhysAddr, ScrapeView, PAGE_SIZE};
 use zynq_mmu::VirtAddr;
 
@@ -16,7 +15,7 @@ use crate::hexdump::HexDump;
 ///
 /// A dump records, per page, which physical frame the bytes came from (if
 /// any) so experiments can reason about coverage.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryDump {
     heap_start: VirtAddr,
     bytes: Vec<u8>,

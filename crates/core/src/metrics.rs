@@ -3,7 +3,6 @@
 use std::time::Duration;
 
 use petalinux_sim::Pid;
-use serde::{Deserialize, Serialize};
 use vitis_ai_sim::{Image, ModelKind};
 
 use crate::analysis::marker::MarkerRun;
@@ -11,7 +10,7 @@ use crate::signature::ModelMatch;
 
 /// Wall-clock duration of each attack step (the latency breakdown reported by
 /// the TAB-A experiment).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StepTimings {
     /// Step 1: polling for the victim pid.
     pub poll: Duration,
@@ -80,7 +79,7 @@ impl StepTimingsBuilder {
 }
 
 /// Everything the attack recovered from one victim.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttackOutcome {
     /// The victim process the attack targeted.
     pub victim_pid: Pid,
@@ -102,7 +101,7 @@ pub struct AttackOutcome {
 }
 
 /// Where the image offset used for reconstruction came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum OffsetSource {
     /// The offset was learned by offline profiling of the identified model.

@@ -15,7 +15,6 @@
 use std::collections::BTreeMap;
 
 use petalinux_sim::{BoardConfig, Kernel, UserId};
-use serde::{Deserialize, Serialize};
 use vitis_ai_sim::{weights, DpuRunner, Image, ModelKind};
 use xsdb::DebugSession;
 
@@ -26,7 +25,7 @@ use crate::scrape::scrape_heap;
 use crate::translate::capture_heap_translation;
 
 /// The heap offsets learned for one model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModelProfile {
     /// The profiled model.
     pub model: ModelKind,
@@ -40,7 +39,7 @@ pub struct ModelProfile {
 }
 
 /// A database of per-model profiles, keyed by model.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProfileDatabase {
     profiles: BTreeMap<ModelKind, ModelProfile>,
 }

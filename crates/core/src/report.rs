@@ -103,9 +103,9 @@ impl fmt::Display for TextTable {
     }
 }
 
-/// A minimal hand-rolled JSON object builder (the vendored `serde` stand-in
-/// has no serialization, so machine-readable output — NDJSON progress lines,
-/// `BENCH_campaign.json` — is written through this).
+/// A minimal hand-rolled JSON object builder: every machine-readable output
+/// of the workspace — NDJSON progress lines, `BENCH_campaign.json`, the
+/// analyzer report — is written through this.
 ///
 /// Keys are emitted in insertion order; floats use Rust's shortest-roundtrip
 /// `{}` formatting, so equal values always serialize to equal bytes (the

@@ -26,7 +26,6 @@ use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 use petalinux_sim::{BoardConfig, Kernel, Pid, UserId};
-use serde::{Deserialize, Serialize};
 use vitis_ai_sim::runner::heap_image;
 use vitis_ai_sim::{CompletedRun, DpuRunner, Image, LaunchedRun, ModelKind, RunnerError};
 use xsdb::DebugSession;
@@ -54,7 +53,7 @@ fn runner_error(e: RunnerError) -> AttackError {
 /// pid/frame reuse between termination and scrape is
 /// [`VictimSchedule::Revival`], and live memory pressure *during* the scrape
 /// is [`VictimSchedule::LiveTraffic`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 #[derive(Default)]
 pub enum VictimSchedule {
@@ -170,7 +169,7 @@ impl std::fmt::Display for VictimSchedule {
 /// All counts are deterministic ground truth taken from the kernel's frame
 /// ownership records at fixed points of the schedule, so they are part of the
 /// campaign engine's worker-count-independent comparison surface.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResidueLifetime {
     /// Residue frames the victim left in DRAM at the moment of termination
     /// (zero on boards whose sanitize policy scrubs eagerly).
@@ -354,7 +353,7 @@ impl ScenarioOutcome {
 /// fields are reproducible for a fixed spec and seed (wall-clock timings live
 /// on the campaign cell record instead), which is what makes worker-count
 /// independence testable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioMetrics {
     /// The model identification result, if any signature matched.
     pub identified_model: Option<ModelKind>,
@@ -444,7 +443,7 @@ impl ScenarioMetrics {
 /// Outcome of a scenario in which the attack could not even complete (e.g.
 /// the debugger was confined).  Kept distinct so defense sweeps can report
 /// *why* an attack failed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioResult {
     /// The attack ran to completion (it may still have recovered nothing).
     Completed,

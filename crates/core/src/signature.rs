@@ -18,14 +18,13 @@
 
 use std::sync::{Arc, OnceLock};
 
-use serde::{Deserialize, Serialize};
 use vitis_ai_sim::ModelKind;
 use zynq_dram::{Matcher, ScrapeView};
 
 use crate::dump::MemoryDump;
 
 /// Signature of one model: byte patterns whose presence indicates the model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelSignature {
     /// The model this signature identifies.
     pub model: ModelKind,
@@ -34,7 +33,7 @@ pub struct ModelSignature {
 }
 
 /// A scored match of a dump against one model's signature.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelMatch {
     /// The matched model.
     pub model: ModelKind,

@@ -11,7 +11,6 @@
 
 use petalinux_sim::procfs::parse_heap_range;
 use petalinux_sim::{Kernel, Pid};
-use serde::{Deserialize, Serialize};
 use xsdb::DebugSession;
 use zynq_dram::{PhysAddr, PAGE_SIZE};
 use zynq_mmu::VirtAddr;
@@ -21,7 +20,7 @@ use crate::error::AttackError;
 /// The captured translation of a victim's heap: its virtual range and, for
 /// every page, the physical address it was resident at while the victim was
 /// running.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HeapTranslation {
     pid: Pid,
     heap_start: VirtAddr,

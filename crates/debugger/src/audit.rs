@@ -13,11 +13,10 @@
 use std::fmt;
 
 use petalinux_sim::{Pid, UserId};
-use serde::{Deserialize, Serialize};
 use zynq_dram::PhysAddr;
 
 /// The kind of operation a debugger session performed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum DebugOp {
     /// Listed the running processes.
@@ -64,7 +63,7 @@ impl fmt::Display for DebugOp {
 
 /// One audit record: who did what, and whether the isolation policy allowed
 /// it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AuditRecord {
     /// The user driving the debugger.
     pub user: UserId,
@@ -75,7 +74,7 @@ pub struct AuditRecord {
 }
 
 /// An append-only log of debugger operations.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AuditLog {
     records: Vec<AuditRecord>,
 }

@@ -5,14 +5,13 @@
 #![allow(clippy::indexing_slicing)]
 
 use petalinux_sim::{Kernel, KernelError, Pid, Shell, UserId};
-use serde::{Deserialize, Serialize};
 use zynq_dram::{PhysAddr, ScrapeView};
 use zynq_mmu::{pagemap, PagemapEntry, VirtAddr};
 
 use crate::audit::{AuditLog, DebugOp};
 
 /// Summary of one running process as the debugger reports it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProcessInfo {
     /// The process id.
     pub pid: Pid,

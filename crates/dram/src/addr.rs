@@ -7,8 +7,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// Size of a physical frame / virtual page in bytes (4 KiB, the granule used
 /// by PetaLinux on the Cortex-A53 cluster of the ZCU104).
 pub const PAGE_SIZE: u64 = 4096;
@@ -28,9 +26,7 @@ pub const PAGE_SIZE: u64 = 4096;
 /// assert_eq!(pa.frame_number().as_u64(), 0x61c6_d730 / 4096);
 /// assert_eq!(pa.page_offset(), 0x730);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PhysAddr(u64);
 
 impl PhysAddr {
@@ -158,9 +154,7 @@ impl Sub<u64> for PhysAddr {
 /// assert_eq!(frame.base_address(), PhysAddr::new(0x61c6d000));
 /// assert_eq!(frame.next().as_u64(), 0x61c6e);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct FrameNumber(u64);
 
 impl FrameNumber {

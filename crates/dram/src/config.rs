@@ -8,12 +8,10 @@
 //! addition to the low window — frames handed to user processes are drawn
 //! from the high window, matching the addresses the paper reports.
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::{FrameNumber, PhysAddr, PAGE_SIZE};
 
 /// Geometry of one DDR device/channel used for address interleaving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DdrGeometry {
     /// log2 of the number of byte columns per row.
     pub column_bits: u32,
@@ -126,7 +124,7 @@ impl Default for DdrGeometry {
 }
 
 /// Which board preset a configuration was derived from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum BoardModel {
     /// Zynq UltraScale+ MPSoC ZCU104 (the paper's primary target).
@@ -160,7 +158,7 @@ impl std::fmt::Display for BoardModel {
 /// assert!(cfg.contains(cfg.base()));
 /// assert!(!cfg.contains(cfg.end()));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramConfig {
     board: BoardModel,
     base: PhysAddr,

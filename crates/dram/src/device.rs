@@ -36,8 +36,6 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::{FrameNumber, PhysAddr, PAGE_SIZE};
 use crate::config::{DdrGeometry, DramConfig};
 use crate::error::DramError;
@@ -54,7 +52,7 @@ use crate::view::{zero_chunk, ScrapeView};
 /// terminates without sanitization its frames keep their bytes and keep their
 /// tag, but the tag is marked "dead" — exactly the state the memory scraping
 /// attack exploits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OwnerTag(u32);
 
 impl OwnerTag {
@@ -82,7 +80,7 @@ impl From<u32> for OwnerTag {
 }
 
 /// Ownership state of one frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameOwnership {
     /// The entity that last wrote the frame.
     pub owner: OwnerTag,

@@ -29,14 +29,12 @@
 // surrounding length checks / loop invariants before use.
 #![allow(clippy::indexing_slicing)]
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::PhysAddr;
 use crate::config::{DdrGeometry, DramConfig};
 use crate::error::DramError;
 
 /// Decomposed DRAM coordinates of a physical address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DdrCoordinates {
     /// Rank index.
     pub rank: u64,
@@ -71,7 +69,7 @@ impl DdrCoordinates {
 /// Produced by [`DdrMapping::split_at_bank_boundaries`]; every byte of
 /// `[addr, addr + len)` belongs to the bank identified by `bank`
 /// (a [`DdrCoordinates::bank_id`] value).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BankChunk {
     /// Flat bank identifier (rank, bank group, bank).
     pub bank: u64,
@@ -96,7 +94,7 @@ pub struct BankChunk {
 /// let coords = mapping.decompose(addr).expect("inside window");
 /// assert_eq!(mapping.compose(coords), addr);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DdrMapping {
     config: DramConfig,
 }

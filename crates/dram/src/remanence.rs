@@ -33,8 +33,6 @@
 // to their target range by the surrounding arithmetic.
 #![allow(clippy::cast_possible_truncation)]
 
-use serde::{Deserialize, Serialize};
-
 /// splitmix64 — the workspace's standard cheap deterministic mixer; used to
 /// derive the per-cell decay randomness from the decay seed.
 pub(crate) fn splitmix64(mut x: u64) -> u64 {
@@ -62,7 +60,7 @@ pub fn cell_hash(seed: u64, stripe: u64, offset_in_stripe: u64) -> u64 {
 /// attacker's haul the way Pentimento-style analog retention does.
 ///
 /// [`Perfect`]: RemanenceModel::Perfect
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[non_exhaustive]
 pub enum RemanenceModel {
     /// Residue survives bit-exactly until sanitized (the all-or-nothing model
@@ -225,7 +223,7 @@ impl DecayCurve {
 
 /// Residue-fidelity measurement of one owner's residue frames: how much of
 /// the raw residue the decay view still exposes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResidueDecay {
     /// Non-zero residue bytes in the raw (pre-decay) store.
     pub raw_bytes: u64,

@@ -32,8 +32,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::{FrameNumber, PhysAddr, PAGE_SIZE};
 use crate::device::{Dram, OwnerTag};
 use crate::mapping::DdrMapping;
@@ -44,7 +42,7 @@ use crate::mapping::DdrMapping;
 /// the RowClone and In-DRAM Data Initialization papers (bulk in-DRAM
 /// operations are one to two orders of magnitude cheaper per byte than CPU
 /// stores); only the relative ordering matters for the reproduction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SanitizeCost {
     /// CPU cycles to store one byte of zeros from the core.
     pub cpu_store_per_byte: f64,
@@ -71,7 +69,7 @@ impl Default for SanitizeCost {
 }
 
 /// The sanitization policy a kernel applies when a process terminates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 #[derive(Default)]
 pub enum SanitizePolicy {
@@ -292,7 +290,7 @@ impl fmt::Display for SanitizePolicy {
 }
 
 /// Outcome of applying a [`SanitizePolicy`] at process termination.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScrubReport {
     /// The policy that produced this report.
     pub policy: SanitizePolicy,

@@ -1,7 +1,5 @@
 //! DRAM access statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters accumulated by a [`Dram`](crate::Dram) device.
 ///
 /// The sanitization cost model (TAB-B in the experiment index) is built on the
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// only parallel-specific fields are the telemetry counters
 /// ([`DramStats::parallel_scrub_ops`], [`DramStats::peak_scrub_workers`]),
 /// which report how much work actually fanned out across bank shards.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DramStats {
     bytes_written: u64,
     bytes_scrubbed: u64,

@@ -20,8 +20,6 @@
 // surrounding length checks / loop invariants before use.
 #![allow(clippy::indexing_slicing)]
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::PAGE_SIZE;
 use crate::device::OwnerTag;
 use crate::remanence::{cell_hash, splitmix64, RemanenceModel};
@@ -108,7 +106,7 @@ pub fn decompress_page(data: &[u8], raw_len: usize) -> Vec<u8> {
 }
 
 /// One compressed page slot.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SwapSlot {
     owner: OwnerTag,
     /// `true` while the owning process is alive; `false` once it has

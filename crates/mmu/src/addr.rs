@@ -3,7 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
 use zynq_dram::PAGE_SIZE;
 
 /// A virtual address in a process's address space.
@@ -20,9 +19,7 @@ use zynq_dram::PAGE_SIZE;
 /// assert_eq!(format!("{va}"), "aaaaee775000");
 /// assert_eq!(va.page_offset(), 0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VirtAddr(u64);
 
 impl VirtAddr {
@@ -130,9 +127,7 @@ impl Sub<u64> for VirtAddr {
 }
 
 /// A virtual page number (virtual address divided by the page size).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PageNumber(u64);
 
 impl PageNumber {

@@ -13,13 +13,12 @@
 
 use std::collections::{HashSet, VecDeque};
 
-use serde::{Deserialize, Serialize};
 use zynq_dram::{DramConfig, FrameNumber};
 
 use crate::error::MmuError;
 
 /// Policy controlling the order in which physical frames are handed out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 #[derive(Default)]
 pub enum AllocationOrder {

@@ -6,13 +6,12 @@
 //! offsets transfer from the attacker's run to the victim's run.
 //! [`AslrMode::Virtual`] models turning virtual-address randomization on.
 
-use serde::{Deserialize, Serialize};
 use zynq_dram::PAGE_SIZE;
 
 use crate::addr::VirtAddr;
 
 /// Whether and how virtual base addresses are randomized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 #[derive(Default)]
 pub enum AslrMode {
@@ -46,7 +45,7 @@ impl std::fmt::Display for AslrMode {
 /// // The paper's Figure 7 heap base.
 /// assert_eq!(layout.heap_base().as_u64(), 0xaaaa_ee77_5000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AddressSpaceLayout {
     text_base: VirtAddr,
     heap_base: VirtAddr,

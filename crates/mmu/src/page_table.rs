@@ -9,7 +9,6 @@
 // surrounding length checks / loop invariants before use.
 #![allow(clippy::indexing_slicing)]
 
-use serde::{Deserialize, Serialize};
 use zynq_dram::{FrameNumber, PhysAddr};
 
 use crate::addr::{PageNumber, VirtAddr};
@@ -19,7 +18,7 @@ const ENTRIES_PER_TABLE: usize = 512;
 const LEAF_LEVEL: usize = 3;
 
 /// Access permissions of a mapped page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PagePermissions {
     /// Page may be read.
     pub read: bool,

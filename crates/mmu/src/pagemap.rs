@@ -21,7 +21,6 @@
 // surrounding length checks / loop invariants before use.
 #![allow(clippy::indexing_slicing)]
 
-use serde::{Deserialize, Serialize};
 use zynq_dram::FrameNumber;
 
 const PRESENT_BIT: u64 = 1 << 63;
@@ -45,7 +44,7 @@ const PFN_MASK: u64 = (1 << 55) - 1;
 /// assert!(back.is_present());
 /// assert_eq!(back.frame_number(), Some(FrameNumber::new(0x61c6d)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct PagemapEntry {
     raw: u64,
 }

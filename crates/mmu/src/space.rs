@@ -6,7 +6,6 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
 use zynq_dram::{FrameNumber, PhysAddr, PAGE_SIZE};
 
 use crate::addr::VirtAddr;
@@ -17,7 +16,7 @@ use crate::page_table::{PagePermissions, PageTable};
 use crate::pagemap::PagemapEntry;
 
 /// The role a virtual memory area plays in the process image.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum VmaKind {
     /// Program text (the executable).
@@ -47,7 +46,7 @@ impl VmaKind {
 }
 
 /// One virtual memory area of a process.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Vma {
     /// First address of the region.
     pub start: VirtAddr,

@@ -1,6 +1,5 @@
 //! Board and security-policy configuration.
 
-use serde::{Deserialize, Serialize};
 use zynq_dram::{DramConfig, RemanenceModel, SanitizeCost, SanitizePolicy};
 use zynq_mmu::{AllocationOrder, AslrMode};
 
@@ -10,7 +9,7 @@ use zynq_mmu::{AllocationOrder, AslrMode};
 /// The paper's core observation is that the Xilinx tooling on PetaLinux is
 /// *not* confined: a second user space can list any process, read any
 /// process's `maps`/`pagemap`, and read physical memory with `devmem`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 #[derive(Default)]
 pub enum IsolationPolicy {
@@ -66,7 +65,7 @@ impl std::fmt::Display for IsolationPolicy {
 ///     .with_sanitize_policy(SanitizePolicy::SelectiveScrub);
 /// assert_eq!(hardened.sanitize_policy(), SanitizePolicy::SelectiveScrub);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoardConfig {
     dram: DramConfig,
     sanitize: SanitizePolicy,

@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use zynq_dram::OwnerTag;
 use zynq_mmu::{AddressSpace, VirtAddr};
 
@@ -18,7 +17,7 @@ use crate::user::UserId;
 /// let pid = Pid::new(1391);
 /// assert_eq!(pid.to_string(), "1391");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Pid(u32);
 
 impl Pid {
@@ -57,7 +56,7 @@ impl From<Pid> for u32 {
 }
 
 /// Lifecycle state of a process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProcessState {
     /// The process is running and appears in `ps -ef`.
     Running,

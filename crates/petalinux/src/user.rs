@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A user (tenant) of the board.
 ///
 /// The paper's attack involves two user spaces on one board: the victim runs
@@ -21,9 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(victim.is_root());
 /// assert_eq!(attacker.to_string(), "uid:1");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct UserId(u32);
 
 impl UserId {

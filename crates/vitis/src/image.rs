@@ -13,8 +13,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The byte value of every channel of the corrupted image (`0xFFFFFF` pixels).
 pub const CORRUPTED_CHANNEL: u8 = 0xFF;
 
@@ -33,7 +31,7 @@ pub const SENTINEL_CHANNEL: u8 = 0x55;
 /// assert_eq!(img.as_bytes().len(), 4 * 2 * 3);
 /// assert!(img.as_bytes().iter().all(|&b| b == 0xFF));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Image {
     width: u32,
     height: u32,

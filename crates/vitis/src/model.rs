@@ -9,14 +9,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Divisor applied to real parameter counts to obtain the simulated weight
 /// blob sizes.
 pub const PARAM_SCALE: u64 = 1024;
 
 /// A model from the (simulated) Vitis AI library.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum ModelKind {
     /// ResNet-50 exported from PyTorch (`resnet50_pt`) — the paper's victim.

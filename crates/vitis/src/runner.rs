@@ -28,7 +28,6 @@ use std::error::Error;
 use std::fmt;
 
 use petalinux_sim::{Kernel, KernelError, Pid, UserId};
-use serde::{Deserialize, Serialize};
 use zynq_dram::PAGE_SIZE;
 
 use crate::image::Image;
@@ -77,7 +76,7 @@ impl From<KernelError> for RunnerError {
 /// Experiments use this as the oracle to score what the attacker recovered;
 /// the attacker itself never sees it — it learns the image offset by offline
 /// profiling instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeapLayout {
     /// Offset of the runtime header.
     pub header_offset: u64,

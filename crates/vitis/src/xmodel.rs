@@ -17,8 +17,6 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::model::ModelKind;
 use crate::weights::{self, ForwardWeights};
 
@@ -29,7 +27,7 @@ pub const XMODEL_MAGIC: &[u8; 4] = b"XMOD";
 pub const XMODEL_VERSION: u16 = 1;
 
 /// Descriptor of one tensor stored in the container.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TensorDesc {
     /// Tensor name (e.g. `input`, `weights`, `fc1000`).
     pub name: String,
@@ -89,7 +87,7 @@ impl Error for ParseXmodelError {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct XModel {
     head: Head,
     weights: Vec<u8>,
