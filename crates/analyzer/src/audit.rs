@@ -5,10 +5,10 @@
 //! The matrix mirrors the repository's dynamic sweeps so every static
 //! verdict has a dynamic counterpart to be checked against:
 //!
-//! - **Block A** (64 cells): the single-victim product — every audited
+//! - **Block A** (32 cells): the single-victim product — every audited
 //!   sanitize policy × swap pressure {0, 100} × remanence
-//!   {perfect, exponential(hl=1)} × scrape {contiguous, bank-striped(4)} —
-//!   covering the swap and remanence sweeps.
+//!   {perfect, exponential(hl=1)}, scraped contiguously — covering the swap
+//!   and remanence sweeps.
 //! - **Block B** (8 cells): pid-reuse revival (1 successor) per policy —
 //!   the Resurrection-style sweep.
 //! - **Block C** (8 cells): fork-heavy victim (2 CoW children) per policy —
@@ -19,7 +19,7 @@
 //! the JSON byte-for-byte.
 
 use msa_core::report::{json_array, JsonObject, TextTable};
-use msa_core::{ScrapeMode, VictimSchedule};
+use msa_core::VictimSchedule;
 use zynq_dram::{RemanenceModel, SanitizePolicy};
 
 use crate::flow::{analyze, Analysis};
@@ -28,10 +28,6 @@ use crate::model::ScenarioShape;
 
 /// Report schema identifier, bumped on any breaking shape change.
 pub const SCHEMA: &str = "msa-analyzer-v1";
-
-/// The worker fan-out of the audited bank-striped scrape (matches the
-/// `--banks` experiment).
-pub const STRIPED_WORKERS: usize = 4;
 
 /// The swap pressure of the audited under-pressure cells (matches the
 /// `--swap` experiment).
@@ -51,7 +47,7 @@ pub fn audited_policies() -> Vec<SanitizePolicy> {
     policies
 }
 
-/// The shipped audit matrix, in report order (80 shapes).
+/// The shipped audit matrix, in report order (48 shapes).
 pub fn audit_matrix() -> Vec<ScenarioShape> {
     let mut shapes = Vec::new();
     // Block A: the single-victim product.
@@ -60,20 +56,12 @@ pub fn audit_matrix() -> Vec<ScenarioShape> {
             RemanenceModel::Perfect,
             RemanenceModel::Exponential { half_life_ticks: 1 },
         ] {
-            for scrape in [
-                ScrapeMode::ContiguousRange,
-                ScrapeMode::BankStriped {
-                    workers: STRIPED_WORKERS,
-                },
-            ] {
-                for policy in audited_policies() {
-                    shapes.push(
-                        ScenarioShape::new(policy)
-                            .with_swap(swap)
-                            .with_remanence(remanence)
-                            .with_scrape(scrape),
-                    );
-                }
+            for policy in audited_policies() {
+                shapes.push(
+                    ScenarioShape::new(policy)
+                        .with_swap(swap)
+                        .with_remanence(remanence),
+                );
             }
         }
     }
@@ -235,14 +223,14 @@ mod tests {
     #[test]
     fn matrix_has_the_shipped_shape() {
         let matrix = audit_matrix();
-        assert_eq!(matrix.len(), 80);
+        assert_eq!(matrix.len(), 48);
         assert_eq!(audited_policies().len(), 8);
-        // 64 single-victim cells, 8 revival, 8 fork-heavy.
+        // 32 single-victim cells, 8 revival, 8 fork-heavy.
         let singles = matrix
             .iter()
             .filter(|s| s.schedule == VictimSchedule::Single)
             .count();
-        assert_eq!(singles, 64);
+        assert_eq!(singles, 32);
     }
 
     #[test]

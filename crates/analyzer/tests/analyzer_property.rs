@@ -192,8 +192,8 @@ fn arbitrary_shape(
     let scrape = if knob.is_multiple_of(2) {
         ScrapeMode::ContiguousRange
     } else {
-        ScrapeMode::BankStriped {
-            workers: 1 + knob % 7,
+        ScrapeMode::MultiSnapshot {
+            snapshots: 1 + knob % 7,
         }
     };
     let policy = policies

@@ -64,6 +64,6 @@ fn msa_analyze_binary_emits_the_pinned_report() {
     assert_eq!(written, golden, "binary output drifted from the golden");
     let stdout = String::from_utf8(output.stdout).expect("stdout is UTF-8");
     assert!(stdout.contains("=== ANALYZE:"));
-    assert!(stdout.contains("80 cells:"));
+    assert!(stdout.contains("48 cells:"));
     let _ = std::fs::remove_file(&out);
 }

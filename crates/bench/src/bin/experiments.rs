@@ -11,9 +11,8 @@
 //! `--fingerprint` (TAB-C), `--aslr` (TAB-D), `--boards` (TAB-E),
 //! `--multitenant` (TAB-F), `--revival` (Resurrection-style pid/frame reuse
 //! per sanitize policy, two boards), `--livetraffic` (residue decay vs. live
-//! churn depth), `--banks` (flat vs. bank-sharded scrub/scrape throughput
-//! plus the bank-striped attacker sweep), `--remanence` (recovery vs.
-//! Pentimento-style analog residue decay, per scrape mode), `--reconstruct`
+//! churn depth), `--remanence` (recovery vs. Pentimento-style analog
+//! residue decay), `--reconstruct`
 //! (the decay-tolerant reconstructor vs. the exact-matching attacker at
 //! matched cell seeds), `--swap` (compressed-swap and copy-on-write residue
 //! vs. sanitize policy), `--campaign` (fleet-scale matrix summary), `--all`.
@@ -69,7 +68,6 @@ const KNOWN_FLAGS: &[&str] = &[
     "--multitenant",
     "--revival",
     "--livetraffic",
-    "--banks",
     "--remanence",
     "--reconstruct",
     "--swap",
@@ -202,9 +200,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     if options.want("--livetraffic") {
         livetraffic(&options)?;
-    }
-    if options.want("--banks") {
-        banks(&options)?;
     }
     if options.want("--remanence") {
         remanence(&options)?;
@@ -659,173 +654,18 @@ fn livetraffic(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// The `--banks` artifact: per-bank sharding of the DRAM store.
-///
-/// Two tables come out.  The substrate table times the *same* scrub and
-/// scrape over the same region twice — sequentially (the flat-equivalent
-/// path) and fanned across `BANK_WORKERS` bank-shard workers — and reports
-/// the speedup, after asserting the results are byte-identical.  The sweep
-/// table runs the bank-striped attacker against the paper's single-sweep
-/// attacker on the experiment board, showing identical recovery.
-fn banks(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    use std::time::{Duration, Instant};
-    use zynq_dram::{Dram, DramConfig, OwnerTag};
-
-    /// Worker fan-out of every parallel measurement (fixed so the table is
-    /// machine-independent everywhere except the wall-clock columns).
-    const BANK_WORKERS: usize = 4;
-
-    fn time_best_of<F: FnMut()>(runs: usize, mut f: F) -> Duration {
-        let mut best = Duration::MAX;
-        for _ in 0..runs {
-            let started = Instant::now();
-            f();
-            best = best.min(started.elapsed());
-        }
-        best
-    }
-
-    println!("=== BANKS: flat vs. bank-sharded scrub/scrape (x{BANK_WORKERS} workers) ===");
-    let boards: Vec<(&str, DramConfig, u64)> = if options.tiny {
-        vec![("tiny", DramConfig::tiny_for_tests(), 8 * 1024 * 1024)]
-    } else {
-        vec![
-            ("ZCU104", DramConfig::zcu104(), 256 * 1024 * 1024),
-            ("ZCU102", DramConfig::zcu102(), 512 * 1024 * 1024),
-        ]
-    };
-
-    let owner = OwnerTag::new(1391);
-
-    let mut table = TextTable::new(vec![
-        "board",
-        "banks",
-        "stripe",
-        "region",
-        "op",
-        "flat (serial)",
-        "sharded (parallel)",
-        "speedup",
-        "identical",
-    ]);
-    for (name, config, region) in boards {
-        let base = config.base();
-        let fill_target = |dram: &mut Dram| {
-            dram.fill(base, region, 0xC3, owner).unwrap();
-            dram.retire_owner(owner);
-        };
-
-        // Scrape: serial read vs bank-parallel scrape of the filled region.
-        let mut dram = Dram::new(config);
-        fill_target(&mut dram);
-        let region_len = usize::try_from(region)?;
-        let mut serial_buf = vec![0u8; region_len];
-        let scrape_serial = time_best_of(3, || dram.read_bytes(base, &mut serial_buf).unwrap());
-        let mut parallel_buf = vec![0u8; region_len];
-        let scrape_parallel = time_best_of(3, || {
-            dram.scrape_banks_parallel(base, &mut parallel_buf, BANK_WORKERS)
-                .unwrap()
-        });
-        let scrape_identical = serial_buf == parallel_buf;
-        drop(serial_buf);
-        drop(parallel_buf);
-
-        // Scrub: the same full-region sanitizer run, serial vs bank-parallel.
-        // Each run re-fills (untimed) so every iteration scrubs dirty
-        // stripes; only the scrub itself is on the clock.
-        let mut serial_dram = Dram::new(config);
-        let mut scrub_serial = Duration::MAX;
-        for _ in 0..2 {
-            fill_target(&mut serial_dram);
-            let started = Instant::now();
-            serial_dram.scrub_range(base, region).unwrap();
-            scrub_serial = scrub_serial.min(started.elapsed());
-        }
-        let mut parallel_dram = Dram::new(config);
-        let mut scrub_parallel = Duration::MAX;
-        for _ in 0..2 {
-            fill_target(&mut parallel_dram);
-            let started = Instant::now();
-            parallel_dram
-                .scrub_banks_parallel(base, region, BANK_WORKERS)
-                .unwrap();
-            scrub_parallel = scrub_parallel.min(started.elapsed());
-        }
-        let scrub_identical = serial_dram.residue_bytes() == parallel_dram.residue_bytes()
-            && serial_dram.stats().deterministic_view()
-                == parallel_dram.stats().deterministic_view();
-
-        let banks = dram.bank_count().to_string();
-        let stripe = bytes(dram.stripe_bytes());
-        for (op, serial, parallel, identical) in [
-            ("scrape", scrape_serial, scrape_parallel, scrape_identical),
-            ("scrub", scrub_serial, scrub_parallel, scrub_identical),
-        ] {
-            table.add_row(vec![
-                name.into(),
-                banks.clone(),
-                stripe.clone(),
-                bytes(region),
-                op.into(),
-                format!("{serial:?}"),
-                format!("{parallel:?}"),
-                format!("{:.1}x", serial.as_secs_f64() / parallel.as_secs_f64()),
-                identical.to_string(),
-            ]);
-        }
-        let touched = dram.bank_stripe_counts().iter().filter(|&&c| c > 0).count();
-        println!(
-            "{name}: {} stripes materialized across {touched}/{} banks",
-            dram.materialized_stripes(),
-            dram.bank_count()
-        );
-    }
-    println!("{table}");
-
-    println!("--- bank-striped attacker vs. the paper's single sweep ---");
-    let mut sweep = TextTable::new(vec![
-        "scrape mode",
-        "model identified",
-        "pixel recovery",
-        "bytes scraped",
-        "dump coverage",
-    ]);
-    for row in msa_core::defense::evaluate_bank_striping(
-        options.board(),
-        ModelKind::Resnet50Pt,
-        BANK_WORKERS,
-    )? {
-        sweep.add_row(vec![
-            row.scrape_mode.to_string(),
-            row.model_identified.to_string(),
-            percent(row.pixel_recovery),
-            bytes(row.bytes_scraped as u64),
-            percent(row.dump_coverage),
-        ]);
-    }
-    println!("{sweep}");
-    Ok(())
-}
-
 /// The `--remanence` artifact: recovery vs. Pentimento-style analog residue
 /// decay.
 ///
-/// Each row pair runs the same remanence model through the paper's
-/// single-sweep attacker and the bank-striped parallel attacker at the same
-/// cell seed; the decay view is a pure per-cell function living inside the
-/// bank shards, so the pairs must agree on every science column — the
-/// verdict line below the table asserts exactly that.  Decay advances on
-/// logical ticks (scenario steps, churned scrape chunks), never wall clock,
-/// so this whole table is deterministic and `--jobs`-independent.
+/// One row per remanence model, read by the paper's single-sweep attacker.
+/// Decay advances on logical ticks (scenario steps, churned scrape chunks),
+/// never wall clock, so this whole table is deterministic and
+/// `--jobs`-independent.
 fn remanence(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    /// Fan-out of the bank-striped attacker rows (matches `--banks`).
-    const BANK_WORKERS: usize = 4;
-
     println!("=== REMANENCE: recovery vs. analog residue decay (victim: resnet50_pt) ===");
-    let rows = evaluate_remanence(options.board(), ModelKind::Resnet50Pt, BANK_WORKERS)?;
+    let rows = evaluate_remanence(options.board(), ModelKind::Resnet50Pt)?;
     let mut table = TextTable::new(vec![
         "remanence",
-        "scrape mode",
         "model identified",
         "pixel recovery",
         "decayed recovery",
@@ -835,7 +675,6 @@ fn remanence(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
     for row in &rows {
         table.add_row(vec![
             row.remanence.to_string(),
-            row.scrape_mode.to_string(),
             row.model_identified.to_string(),
             percent(row.pixel_recovery),
             percent(row.decayed_recovery),
@@ -844,14 +683,6 @@ fn remanence(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
         ]);
     }
     println!("{table}");
-    let identical = rows.chunks_exact(2).all(|pair| {
-        matches!(pair, [a, b] if a.model_identified == b.model_identified
-            && a.pixel_recovery == b.pixel_recovery
-            && a.decayed_recovery == b.decayed_recovery
-            && a.residue_bits_flipped == b.residue_bits_flipped
-            && a.residue_bytes_raw == b.residue_bytes_raw)
-    });
-    println!("bank-striped decayed scrape identical to sequential: {identical}\n");
     Ok(())
 }
 

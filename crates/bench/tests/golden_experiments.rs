@@ -6,10 +6,10 @@
 //! stdout (the CI smoke invocation) against a checked-in golden file, so any
 //! change to table content, formatting or experiment math shows up as a diff.
 //!
-//! Wall-clock durations and the `--banks` speedup ratios are the only
-//! run-dependent content; the normalizer replaces duration tokens with `<T>`
-//! and speedups with `<X>`, and collapses the alignment whitespace they
-//! stretch, leaving every deterministic number pinned exactly.
+//! Wall-clock durations are the only run-dependent content; the normalizer
+//! replaces duration tokens with `<T>` and ratio tokens (the `--reconstruct`
+//! gain column) with `<X>`, and collapses the alignment whitespace they
+//! stretch, leaving every other number pinned exactly.
 //!
 //! To regenerate after an intentional output change:
 //!
@@ -33,16 +33,16 @@ fn is_duration_token(token: &str) -> bool {
     false
 }
 
-/// `true` for speedup tokens like `3.4x`, `0.9x`, `12x` — wall-clock ratios
-/// printed by the `--banks` throughput table.
-fn is_speedup_token(token: &str) -> bool {
+/// `true` for ratio tokens like `3.4x`, `0.9x`, `12x` — the gain column of
+/// the `--reconstruct` table.
+fn is_ratio_token(token: &str) -> bool {
     token
         .strip_suffix('x')
         .is_some_and(|value| !value.is_empty() && value.parse::<f64>().is_ok())
 }
 
-/// Normalizes run-dependent content: duration tokens become `<T>`, speedup
-/// ratios become `<X>`, column padding (which stretches with duration widths)
+/// Normalizes run-dependent content: duration tokens become `<T>`, ratio
+/// tokens become `<X>`, column padding (which stretches with duration widths)
 /// collapses to single spaces, and all-dash separator rules collapse to
 /// `---`.
 fn normalize(raw: &str) -> String {
@@ -55,7 +55,7 @@ fn normalize(raw: &str) -> String {
                     "---".to_string()
                 } else if is_duration_token(token) {
                     "<T>".to_string()
-                } else if is_speedup_token(token) {
+                } else if is_ratio_token(token) {
                     "<X>".to_string()
                 } else {
                     token.to_string()
@@ -151,14 +151,6 @@ fn tiny_swap_stdout_is_pinned_and_jobs_independent() {
     for jobs in ["--jobs=1", "--jobs=4"] {
         assert_matches_golden(&["--swap", "--tiny", jobs], "experiments_tiny_swap.txt");
     }
-}
-
-#[test]
-fn tiny_banks_stdout_is_pinned() {
-    // The `--banks` table's deterministic content — bank counts, stripe and
-    // region sizes, byte-identity verdicts and the bank-striped attacker
-    // sweep — is pinned; wall-clock columns and speedups are masked.
-    assert_matches_golden(&["--banks", "--tiny"], "experiments_tiny_banks.txt");
 }
 
 #[test]
@@ -262,7 +254,7 @@ fn swap_bench_artifact_is_pinned_and_jobs_independent() {
 }
 
 #[test]
-fn normalizer_masks_only_durations_speedups_and_rules() {
+fn normalizer_masks_only_durations_ratios_and_rules() {
     assert!(is_duration_token("12ns"));
     assert!(is_duration_token("504.49µs"));
     assert!(is_duration_token("1.63ms"));
@@ -271,12 +263,12 @@ fn normalizer_masks_only_durations_speedups_and_rules() {
     assert!(!is_duration_token("6.5MiB"));
     assert!(!is_duration_token("100.0%"));
     assert!(!is_duration_token("s"));
-    assert!(is_speedup_token("3.4x"));
-    assert!(is_speedup_token("0.9x"));
-    assert!(is_speedup_token("12x"));
-    assert!(!is_speedup_token("x"));
-    assert!(!is_speedup_token("matrix"));
-    assert!(!is_speedup_token("16x16"));
+    assert!(is_ratio_token("3.4x"));
+    assert!(is_ratio_token("0.9x"));
+    assert!(is_ratio_token("12x"));
+    assert!(!is_ratio_token("x"));
+    assert!(!is_ratio_token("matrix"));
+    assert!(!is_ratio_token("16x16"));
     assert_eq!(
         normalize("step   wall-clock\n----  ------\n1. poll  12.3µs  1.3x\n"),
         "step wall-clock\n--- ---\n1. poll <T> <X>\n"

@@ -33,23 +33,6 @@ pub enum ScrapeMode {
     /// Translate and read every heap page individually (a stronger attacker
     /// that survives physical-layout randomization).
     PerPage,
-    /// The contiguous-range read executed as `workers` concurrent per-bank
-    /// `devmem` loops over the sharded DRAM store
-    /// ([`zynq_dram::Dram::scrape_banks_parallel`]).
-    ///
-    /// Recovers exactly the bytes [`ScrapeMode::ContiguousRange`] recovers —
-    /// campaign results are pinned byte-identical across worker counts, and
-    /// that identity extends to analog-decayed residue: the remanence view
-    /// ([`zynq_dram::RemanenceModel`]) is a pure per-cell function, so the
-    /// per-shard parallel read of decayed residue matches the sequential
-    /// sweep bit for bit.  The fan-out shrinks the scrape wall clock, and
-    /// with it the window in which residue can churn away under live
-    /// traffic.
-    BankStriped {
-        /// Concurrent bank readers (must be non-zero; 1 degenerates to the
-        /// plain contiguous read).
-        workers: usize,
-    },
     /// The contiguous-range read repeated `snapshots` times across
     /// successive revival windows (one decay tick apart), with the snapshots
     /// OR-fused per bit ([`crate::analysis::reconstruct::fuse_snapshots`]).
@@ -70,34 +53,25 @@ pub enum ScrapeMode {
 
 impl ScrapeMode {
     /// `true` for the strategies that read one contiguous physical range
-    /// from the heap's endpoints (the paper's attacker and its bank-striped
+    /// from the heap's endpoints (the paper's attacker and its multi-snapshot
     /// variant), `false` for the per-page attacker.
     pub fn reads_contiguous_range(self) -> bool {
         matches!(
             self,
-            ScrapeMode::ContiguousRange
-                | ScrapeMode::BankStriped { .. }
-                | ScrapeMode::MultiSnapshot { .. }
+            ScrapeMode::ContiguousRange | ScrapeMode::MultiSnapshot { .. }
         )
     }
 
     /// Rejects modes that are invalid by construction —
-    /// [`ScrapeMode::BankStriped`] with zero workers and
     /// [`ScrapeMode::MultiSnapshot`] with zero snapshots, which every scrape
-    /// path refuses identically (the fields are public, so specs can carry
-    /// the invalid values past the builder asserts).
+    /// path refuses identically (the field is public, so specs can carry the
+    /// invalid value past the builder asserts).
     ///
     /// # Errors
     ///
-    /// Returns the same typed error the corresponding DRAM operation
-    /// produces ([`zynq_dram::DramError::ZeroWorkers`] /
-    /// [`zynq_dram::DramError::ZeroSnapshots`] wrapped as a channel error).
+    /// Returns the same typed error the multi-snapshot read produces
+    /// ([`zynq_dram::DramError::ZeroSnapshots`] wrapped as a channel error).
     pub fn validate(self) -> Result<(), crate::error::AttackError> {
-        if matches!(self, ScrapeMode::BankStriped { workers: 0 }) {
-            return Err(crate::error::AttackError::Channel(
-                petalinux_sim::KernelError::from(zynq_dram::DramError::ZeroWorkers),
-            ));
-        }
         if matches!(self, ScrapeMode::MultiSnapshot { snapshots: 0 }) {
             return Err(crate::error::AttackError::Channel(
                 petalinux_sim::KernelError::from(zynq_dram::DramError::ZeroSnapshots),
@@ -112,7 +86,6 @@ impl std::fmt::Display for ScrapeMode {
         match self {
             ScrapeMode::ContiguousRange => write!(f, "contiguous-range"),
             ScrapeMode::PerPage => write!(f, "per-page"),
-            ScrapeMode::BankStriped { workers } => write!(f, "bank-striped({workers})"),
             ScrapeMode::MultiSnapshot { snapshots } => write!(f, "multi-snapshot({snapshots})"),
         }
     }
@@ -840,15 +813,10 @@ mod tests {
         assert_eq!(ScrapeMode::ContiguousRange.to_string(), "contiguous-range");
         assert_eq!(ScrapeMode::PerPage.to_string(), "per-page");
         assert_eq!(
-            ScrapeMode::BankStriped { workers: 4 }.to_string(),
-            "bank-striped(4)"
-        );
-        assert_eq!(
             ScrapeMode::MultiSnapshot { snapshots: 3 }.to_string(),
             "multi-snapshot(3)"
         );
         assert!(ScrapeMode::ContiguousRange.reads_contiguous_range());
-        assert!(ScrapeMode::BankStriped { workers: 2 }.reads_contiguous_range());
         assert!(ScrapeMode::MultiSnapshot { snapshots: 3 }.reads_contiguous_range());
         assert!(!ScrapeMode::PerPage.reads_contiguous_range());
         assert!(!AttackConfig::default().reconstruct);

@@ -350,21 +350,6 @@ impl CampaignSpec {
         self
     }
 
-    /// Sets the scrape-mode axis to the bank-striped attacker at `workers`
-    /// concurrent bank readers ([`ScrapeMode::BankStriped`]).
-    ///
-    /// Bank striping changes only the scrape wall clock, never the bytes
-    /// recovered, so a campaign swept this way stays byte-identical to its
-    /// contiguous-range twin (pinned by `tests/campaign_determinism.rs`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn with_bank_striped_scrape(self, workers: usize) -> Self {
-        assert!(workers > 0, "bank-striped scrape needs at least one worker");
-        self.with_scrape_modes(vec![ScrapeMode::BankStriped { workers }])
-    }
-
     /// Sets the victim-schedule axis.
     ///
     /// # Panics
@@ -1154,45 +1139,6 @@ mod tests {
         assert!(revival.mean_revival_inheritance > 0.0);
         let live = &by_schedule["live-traffic(1,churn=2)"];
         assert_eq!(live.revival_inherited_frames, 0);
-    }
-
-    #[test]
-    fn bank_striped_scrape_axis_matches_contiguous_results() {
-        // The worker count of the bank-striped attacker is a wall-clock
-        // knob, not a science knob: the recovered metrics are identical to
-        // the plain contiguous attacker at every fan-out.
-        let base = |spec: CampaignSpec| {
-            spec.with_models(vec![ModelKind::SqueezeNet])
-                .with_inputs(vec![InputKind::Corrupted])
-                .with_seed(77)
-        };
-        let contiguous = base(tiny_spec()).run().unwrap();
-        for workers in [1usize, 4] {
-            let striped = base(tiny_spec())
-                .with_bank_striped_scrape(workers)
-                .run()
-                .unwrap();
-            assert_eq!(striped.len(), contiguous.len());
-            assert_eq!(
-                striped.cells()[0].cell.scrape_mode,
-                ScrapeMode::BankStriped { workers }
-            );
-            assert!(striped.cells()[0]
-                .cell
-                .label()
-                .contains(&format!("bank-striped({workers})")));
-            assert_eq!(
-                striped.cells()[0].metrics,
-                contiguous.cells()[0].metrics,
-                "workers={workers}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn bank_striped_scrape_rejects_zero_workers() {
-        let _ = tiny_spec().with_bank_striped_scrape(0);
     }
 
     #[test]

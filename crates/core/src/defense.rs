@@ -207,63 +207,6 @@ pub fn evaluate_layout_randomization(
     Ok(rows)
 }
 
-/// One row of the bank-striping sweep: what the bank-striped attacker
-/// recovers next to the paper's single-sweep attacker.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BankStripeRow {
-    /// The scraping strategy the attacker used.
-    pub scrape_mode: ScrapeMode,
-    /// Whether the model was identified.
-    pub model_identified: bool,
-    /// Fraction of input pixels recovered.
-    pub pixel_recovery: f64,
-    /// Bytes scraped from physical memory.
-    pub bytes_scraped: usize,
-    /// Fraction of heap pages captured by the scrape.
-    pub dump_coverage: f64,
-}
-
-/// Sweeps the contiguous-range attacker against its bank-striped variant at
-/// `workers` concurrent bank readers.
-///
-/// The table documents a *capability* result, not a defense: striping the
-/// scrape across DRAM banks recovers byte-for-byte what the single sweep
-/// recovers — parallelism shrinks the attacker's exposure window without
-/// costing fidelity, so defenses that rely on the scrape being slow
-/// (background scrubbing delays, live traffic churn) get less time than the
-/// single-sweep numbers suggest.
-///
-/// # Errors
-///
-/// Propagates attack errors; returns [`AttackError::Blocked`] when the
-/// caller's board confines the attack channel.
-pub fn evaluate_bank_striping(
-    board: BoardConfig,
-    model: ModelKind,
-    workers: usize,
-) -> Result<Vec<BankStripeRow>, AttackError> {
-    let mut rows = Vec::new();
-    CampaignSpec::new("bank-striping-sweep", board)
-        .with_models(vec![model])
-        .with_inputs(vec![InputKind::Corrupted])
-        .with_scrape_modes(vec![
-            ScrapeMode::ContiguousRange,
-            ScrapeMode::BankStriped { workers },
-        ])
-        .stream_cells(StreamConfig::default(), |record| {
-            let metrics = completed_metrics(&record)?;
-            rows.push(BankStripeRow {
-                scrape_mode: record.cell.scrape_mode,
-                model_identified: metrics.model_identified,
-                pixel_recovery: metrics.pixel_recovery,
-                bytes_scraped: metrics.bytes_scraped,
-                dump_coverage: metrics.dump_coverage,
-            });
-            Ok(())
-        })?;
-    Ok(rows)
-}
-
 /// One row of the remanence sweep: what the attack still recovers when the
 /// residue decays analog-style (Pentimento) between termination and the
 /// scrape.
@@ -271,8 +214,6 @@ pub fn evaluate_bank_striping(
 pub struct RemanenceRow {
     /// The remanence decay model under test.
     pub remanence: RemanenceModel,
-    /// The scraping strategy the attacker used.
-    pub scrape_mode: ScrapeMode,
     /// Whether the model was identified.
     pub model_identified: bool,
     /// Fraction of input pixels recovered.
@@ -302,20 +243,10 @@ pub fn swept_remanence_models() -> Vec<RemanenceModel> {
     ]
 }
 
-/// Sweeps the remanence decay axis ([`swept_remanence_models`]) against both
-/// the paper's single-sweep attacker and its bank-striped variant at
-/// `workers` concurrent bank readers.
-///
-/// Two results come out of the table: how fast the attack's recovery falls
-/// off as retention shortens (the robustness question Pentimento raises),
-/// and that the bank-striped scrape of *decayed* residue is byte-identical
-/// to the sequential one — per-shard decay is a pure per-cell function, so
-/// fanning out never changes the science.  Each scrape mode runs as its own
-/// campaign with the same seed, so paired rows share their cell seed (and
-/// therefore their decay draws) and differ only in the read path.
-///
-/// Rows come back remanence-major: for each model, the contiguous row is
-/// immediately followed by its bank-striped twin.
+/// Sweeps the remanence decay axis ([`swept_remanence_models`]) against the
+/// paper's single-sweep attacker ([`ScrapeMode::ContiguousRange`]): how fast
+/// the attack's recovery falls off as retention shortens (the robustness
+/// question Pentimento raises).  Rows come back in model order.
 ///
 /// # Errors
 ///
@@ -324,39 +255,28 @@ pub fn swept_remanence_models() -> Vec<RemanenceModel> {
 pub fn evaluate_remanence(
     board: BoardConfig,
     model: ModelKind,
-    workers: usize,
 ) -> Result<Vec<RemanenceRow>, AttackError> {
-    let sweep = |mode: ScrapeMode| -> Result<Vec<RemanenceRow>, AttackError> {
-        let mut rows = Vec::new();
-        CampaignSpec::new("remanence-sweep", board)
-            .with_models(vec![model])
-            .with_inputs(vec![InputKind::Corrupted])
-            .with_remanence_models(swept_remanence_models())
-            .with_scrape_modes(vec![mode])
-            .stream_cells(StreamConfig::default(), |record| {
-                let metrics = completed_metrics(&record)?;
-                let lifetime = metrics.residue_lifetime;
-                rows.push(RemanenceRow {
-                    remanence: record.cell.remanence,
-                    scrape_mode: record.cell.scrape_mode,
-                    model_identified: metrics.model_identified,
-                    pixel_recovery: metrics.pixel_recovery,
-                    residue_bytes_raw: lifetime.residue_bytes_raw,
-                    residue_bytes_decayed: lifetime.residue_bytes_decayed,
-                    residue_bits_flipped: lifetime.residue_bits_flipped,
-                    decayed_recovery: lifetime.decayed_recovery_rate(),
-                });
-                Ok(())
-            })?;
-        Ok(rows)
-    };
-    let contiguous = sweep(ScrapeMode::ContiguousRange)?;
-    let striped = sweep(ScrapeMode::BankStriped { workers })?;
-    Ok(contiguous
-        .into_iter()
-        .zip(striped)
-        .flat_map(|(a, b)| [a, b])
-        .collect())
+    let mut rows = Vec::new();
+    CampaignSpec::new("remanence-sweep", board)
+        .with_models(vec![model])
+        .with_inputs(vec![InputKind::Corrupted])
+        .with_remanence_models(swept_remanence_models())
+        .with_scrape_modes(vec![ScrapeMode::ContiguousRange])
+        .stream_cells(StreamConfig::default(), |record| {
+            let metrics = completed_metrics(&record)?;
+            let lifetime = metrics.residue_lifetime;
+            rows.push(RemanenceRow {
+                remanence: record.cell.remanence,
+                model_identified: metrics.model_identified,
+                pixel_recovery: metrics.pixel_recovery,
+                residue_bytes_raw: lifetime.residue_bytes_raw,
+                residue_bytes_decayed: lifetime.residue_bytes_decayed,
+                residue_bits_flipped: lifetime.residue_bits_flipped,
+                decayed_recovery: lifetime.decayed_recovery_rate(),
+            });
+            Ok(())
+        })?;
+    Ok(rows)
 }
 
 /// One row of the reconstruction sweep: what the raw exact-matching attacker
@@ -400,15 +320,14 @@ impl ReconstructRow {
 
 /// Sweeps the remanence decay axis ([`swept_remanence_models`]) twice at
 /// matched cell seeds: once with the exact-matching single-read attacker
-/// (the [`evaluate_remanence`] contiguous baseline) and once with the
+/// (the [`evaluate_remanence`] baseline) and once with the
 /// decay-tolerant reconstructor — [`ScrapeMode::MultiSnapshot`] fusion plus
 /// fuzzy identification and neighbor repair ([`AttackConfig::reconstruct`]).
 ///
 /// Both sweeps use the same spec shape (single-value axes around the
 /// remanence axis) and the same campaign seed, so cell index *i* draws the
 /// same decay pattern in both — each row is a true paired comparison, and
-/// the baseline column reproduces the contiguous column of
-/// [`evaluate_remanence`] byte for byte.
+/// the baseline column reproduces [`evaluate_remanence`] byte for byte.
 ///
 /// # Errors
 ///
@@ -911,40 +830,12 @@ mod tests {
     }
 
     #[test]
-    fn bank_striping_sweep_shows_identical_recovery() {
-        let rows = evaluate_bank_striping(board(), ModelKind::SqueezeNet, 4).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].scrape_mode, ScrapeMode::ContiguousRange);
-        assert_eq!(rows[1].scrape_mode, ScrapeMode::BankStriped { workers: 4 });
-        // Identical science: the fan-out changes wall clock only.
-        assert_eq!(rows[0].model_identified, rows[1].model_identified);
-        assert_eq!(rows[0].pixel_recovery, rows[1].pixel_recovery);
-        assert_eq!(rows[0].bytes_scraped, rows[1].bytes_scraped);
-        assert_eq!(rows[0].dump_coverage, rows[1].dump_coverage);
-        assert!(rows[0].model_identified);
-        assert!(rows[0].pixel_recovery > 0.99);
-    }
-
-    #[test]
-    fn remanence_sweep_decays_recovery_and_striping_changes_nothing() {
-        let rows = evaluate_remanence(board(), ModelKind::SqueezeNet, 4).unwrap();
-        assert_eq!(rows.len(), 2 * swept_remanence_models().len());
-
-        // Rows are remanence-major, with each contiguous row followed by its
-        // bank-striped twin — and the twins are identical on every science
-        // column (per-shard decay is a pure per-cell function).
-        for pair in rows.chunks(2) {
-            let (contiguous, striped) = (&pair[0], &pair[1]);
-            assert_eq!(contiguous.scrape_mode, ScrapeMode::ContiguousRange);
-            assert_eq!(striped.scrape_mode, ScrapeMode::BankStriped { workers: 4 });
-            assert_eq!(contiguous.remanence, striped.remanence);
-            assert_eq!(contiguous.model_identified, striped.model_identified);
-            assert_eq!(contiguous.pixel_recovery, striped.pixel_recovery);
-            assert_eq!(
-                contiguous.residue_bits_flipped,
-                striped.residue_bits_flipped
-            );
-            assert_eq!(contiguous.decayed_recovery, striped.decayed_recovery);
+    fn remanence_sweep_decays_recovery() {
+        let rows = evaluate_remanence(board(), ModelKind::SqueezeNet).unwrap();
+        let models = swept_remanence_models();
+        assert_eq!(rows.len(), models.len());
+        for (row, model) in rows.iter().zip(&models) {
+            assert_eq!(row.remanence, *model);
         }
 
         // The perfect baseline reproduces the pre-remanence attack exactly.
@@ -957,13 +848,8 @@ mod tests {
 
         // Shortening the half-life monotonically shrinks what survives: the
         // same cells decay, more of them, never fewer.
-        let contiguous: Vec<&RemanenceRow> = rows
-            .iter()
-            .filter(|r| r.scrape_mode == ScrapeMode::ContiguousRange)
-            .collect();
         let exp = |hl: u64| {
-            contiguous
-                .iter()
+            rows.iter()
                 .find(|r| {
                     r.remanence
                         == RemanenceModel::Exponential {
@@ -980,7 +866,7 @@ mod tests {
 
         // The bit-flip model degrades bits without necessarily zeroing whole
         // bytes.
-        let bitflip = contiguous
+        let bitflip = rows
             .iter()
             .find(|r| matches!(r.remanence, RemanenceModel::BitFlip { .. }))
             .unwrap();
@@ -993,14 +879,10 @@ mod tests {
         let rows = evaluate_reconstruction(board(), ModelKind::SqueezeNet, 3).unwrap();
         assert_eq!(rows.len(), swept_remanence_models().len());
 
-        // The baseline column reproduces the contiguous column of the
-        // remanence sweep byte for byte — same spec shape, same seeds.
-        let remanence = evaluate_remanence(board(), ModelKind::SqueezeNet, 4).unwrap();
-        let contiguous: Vec<&RemanenceRow> = remanence
-            .iter()
-            .filter(|r| r.scrape_mode == ScrapeMode::ContiguousRange)
-            .collect();
-        for (row, base) in rows.iter().zip(contiguous) {
+        // The baseline column reproduces the remanence sweep byte for byte —
+        // same spec shape, same seeds.
+        let remanence = evaluate_remanence(board(), ModelKind::SqueezeNet).unwrap();
+        for (row, base) in rows.iter().zip(&remanence) {
             assert_eq!(row.remanence, base.remanence);
             assert_eq!(row.snapshots, 3);
             assert_eq!(row.baseline_identified, base.model_identified);

@@ -941,12 +941,11 @@ impl<'a> BootedScenario<'a> {
             ));
         }
         // Mode-specific usability checks, mirroring `crate::scrape`: the
-        // endpoint attackers (contiguous and its bank-striped variant) need
-        // the first page resident, the per-page attacker needs any page at
-        // all.  Churn interleaves at page-chunk granularity, so the
-        // bank-striped fan-out has nothing to add inside a single page read
-        // — both contiguous attackers scrape chunk-identically here, which
-        // keeps LiveTraffic dumps byte-comparable across scrape modes.
+        // endpoint attackers (contiguous and its multi-snapshot variant)
+        // need the first page resident, the per-page attacker needs any page
+        // at all.  Churn interleaves at page-chunk granularity, so both
+        // contiguous attackers scrape chunk-identically here, which keeps
+        // LiveTraffic dumps byte-comparable across scrape modes.
         let contiguous_start = if mode.reads_contiguous_range() {
             Some(
                 translation
@@ -1738,13 +1737,13 @@ mod tests {
     }
 
     #[test]
-    fn zero_worker_bank_striping_fails_under_live_traffic_too() {
-        // The churn scraper ignores the fan-out (it reads page chunks), but
-        // an invalid zero-worker mode must fail here exactly like it does on
-        // the single-sweep path — not silently succeed.
+    fn zero_snapshot_mode_fails_under_live_traffic_too() {
+        // The churn scraper ignores the snapshot count (it reads page
+        // chunks), but an invalid zero-snapshot mode must fail here exactly
+        // like it does on the single-sweep path — not silently succeed.
         let result = AttackScenario::new(BoardConfig::tiny_for_tests(), ModelKind::SqueezeNet)
             .with_attack_config(AttackConfig {
-                scrape_mode: ScrapeMode::BankStriped { workers: 0 },
+                scrape_mode: ScrapeMode::MultiSnapshot { snapshots: 0 },
                 ..AttackConfig::default()
             })
             .with_schedule(VictimSchedule::LiveTraffic {
@@ -1753,7 +1752,7 @@ mod tests {
             })
             .execute();
         let err = result.unwrap_err();
-        assert!(err.to_string().contains("zero workers"), "{err}");
+        assert!(err.to_string().contains("zero snapshots"), "{err}");
     }
 
     #[test]

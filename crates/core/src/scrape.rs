@@ -22,16 +22,13 @@ use crate::translate::HeapTranslation;
 /// [`DebugSession::is_running`] first (the [`crate::attack::AttackPipeline`]
 /// does, and returns [`AttackError::VictimStillRunning`] otherwise).
 ///
-/// Four read strategies are supported:
+/// Three read strategies are supported:
 ///
 /// - [`ScrapeMode::ContiguousRange`] — the paper's method: translate only the
 ///   heap's endpoints and read the physical range between them in one sweep.
 ///   Correct whenever the kernel hands out physically contiguous frames for a
 ///   contiguous heap (the PetaLinux default), cheap, but defeated by
 ///   physical-layout randomization.
-/// - [`ScrapeMode::BankStriped`] — the same contiguous read executed as
-///   concurrent per-bank `devmem` loops over the sharded DRAM store;
-///   byte-identical to the contiguous sweep, faster on large heaps.
 /// - [`ScrapeMode::PerPage`] — translate and read every page individually; a
 ///   stronger attacker that tolerates scattered physical layouts.
 /// - [`ScrapeMode::MultiSnapshot`] — the contiguous read repeated across
@@ -52,16 +49,14 @@ pub fn scrape_heap(
 ) -> Result<MemoryDump, AttackError> {
     mode.validate()?;
     match mode {
-        ScrapeMode::ContiguousRange => scrape_contiguous(debugger, kernel, translation, None),
-        ScrapeMode::BankStriped { workers } => {
-            scrape_contiguous(debugger, kernel, translation, Some(workers))
-        }
         // Without a mutable kernel the decay clock cannot advance between
         // snapshots, and OR-fusing N identical-tick reads of a monotone decay
         // view equals the earliest read — so the single contiguous sweep is
         // byte-identical to the fused result.  The real N-pass read lives in
         // `scrape_heap_snapshots`.
-        ScrapeMode::MultiSnapshot { .. } => scrape_contiguous(debugger, kernel, translation, None),
+        ScrapeMode::ContiguousRange | ScrapeMode::MultiSnapshot { .. } => {
+            scrape_contiguous(debugger, kernel, translation)
+        }
         ScrapeMode::PerPage => scrape_per_page(debugger, kernel, translation),
     }
 }
@@ -74,10 +69,6 @@ pub fn scrape_heap(
 /// returned, its bytes and coverage are identical to the owned dump the same
 /// mode would produce, and the debugger audit trail records the same
 /// `ReadPhys` operations.
-///
-/// [`ScrapeMode::BankStriped`] degenerates to the contiguous view: assembling
-/// a borrowed view is O(segments) with no byte copying, so there is nothing
-/// left to fan out across bank workers.
 ///
 /// # Errors
 ///
@@ -97,9 +88,9 @@ pub fn scrape_heap_view<'k>(
         // it does in `scrape_heap`: with an immutable kernel every snapshot
         // reads the same tick, and the OR-fusion of identical reads is that
         // read.
-        ScrapeMode::ContiguousRange
-        | ScrapeMode::BankStriped { .. }
-        | ScrapeMode::MultiSnapshot { .. } => scrape_contiguous_view(debugger, kernel, translation),
+        ScrapeMode::ContiguousRange | ScrapeMode::MultiSnapshot { .. } => {
+            scrape_contiguous_view(debugger, kernel, translation)
+        }
         ScrapeMode::PerPage => scrape_per_page_view(debugger, kernel, translation),
     }
 }
@@ -251,7 +242,6 @@ fn scrape_contiguous(
     debugger: &mut DebugSession,
     kernel: &Kernel,
     translation: &HeapTranslation,
-    bank_workers: Option<usize>,
 ) -> Result<MemoryDump, AttackError> {
     // A zero-length window is a typed empty dump, not a translation error,
     // so it is checked before `phys_start()`: a degenerate translation with
@@ -270,11 +260,7 @@ fn scrape_contiguous(
     // the real attack's devmem loop would simply get errors for those words.
     let window_end = kernel.config().dram().end();
     let available = window_end.offset_from(start).min(len as u64) as usize;
-    let bytes = match bank_workers {
-        Some(workers) => debugger.read_phys_range_banked(kernel, start, available, workers)?,
-        None => debugger.read_phys_range(kernel, start, available)?,
-    };
-    let mut padded = bytes;
+    let mut padded = debugger.read_phys_range(kernel, start, available)?;
     padded.resize(len, 0);
     Ok(MemoryDump::from_contiguous(
         translation.heap_start(),
@@ -352,56 +338,30 @@ mod tests {
     }
 
     #[test]
-    fn bank_striped_mode_is_byte_identical_to_contiguous() {
-        let (kernel, _run, translation) = attacked_board();
-        let mut dbg = DebugSession::connect(UserId::new(1));
-        let contiguous =
-            scrape_heap(&mut dbg, &kernel, &translation, ScrapeMode::ContiguousRange).unwrap();
-        for workers in [1usize, 2, 4, 8] {
-            let striped = scrape_heap(
-                &mut dbg,
-                &kernel,
-                &translation,
-                ScrapeMode::BankStriped { workers },
-            )
-            .unwrap();
-            assert_eq!(
-                contiguous.as_bytes(),
-                striped.as_bytes(),
-                "workers={workers}"
-            );
-            assert_eq!(contiguous.coverage(), striped.coverage());
-        }
-    }
-
-    #[test]
-    fn zero_worker_bank_striping_is_rejected_up_front() {
-        // `workers` is a public field, so an invalid mode can reach the
-        // scrape without passing any builder assert; every path refuses it
-        // with the same channel error (before touching memory — even an
-        // empty heap must not make the invalid mode silently succeed).
+    fn zero_snapshot_mode_is_rejected_up_front() {
+        // `snapshots` is a public field, so an invalid mode can reach the
+        // immutable scrape without passing any builder assert; every path
+        // refuses it with the same channel error (before touching memory —
+        // even an empty heap must not make the invalid mode silently
+        // succeed).
         let (kernel, _run, translation) = attacked_board();
         let mut dbg = DebugSession::connect(UserId::new(1));
         let err = scrape_heap(
             &mut dbg,
             &kernel,
             &translation,
-            ScrapeMode::BankStriped { workers: 0 },
+            ScrapeMode::MultiSnapshot { snapshots: 0 },
         )
         .unwrap_err();
         assert!(matches!(err, AttackError::Channel(_)), "{err}");
-        assert!(err.to_string().contains("zero workers"));
+        assert!(err.to_string().contains("zero snapshots"));
     }
 
     #[test]
     fn zero_copy_view_is_byte_identical_to_the_owned_dump_in_every_mode() {
         let (kernel, _run, translation) = attacked_board();
         let mut dbg = DebugSession::connect(UserId::new(1));
-        for mode in [
-            ScrapeMode::ContiguousRange,
-            ScrapeMode::BankStriped { workers: 4 },
-            ScrapeMode::PerPage,
-        ] {
+        for mode in [ScrapeMode::ContiguousRange, ScrapeMode::PerPage] {
             let dump = scrape_heap(&mut dbg, &kernel, &translation, mode).unwrap();
             let heap = scrape_heap_view(&mut dbg, &kernel, &translation, mode)
                 .unwrap()
@@ -491,10 +451,10 @@ mod tests {
             &mut dbg,
             &kernel,
             &translation,
-            ScrapeMode::BankStriped { workers: 0 },
+            ScrapeMode::MultiSnapshot { snapshots: 0 },
         )
         .unwrap_err();
-        assert!(err.to_string().contains("zero workers"));
+        assert!(err.to_string().contains("zero snapshots"));
     }
 
     #[test]

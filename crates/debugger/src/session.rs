@@ -188,38 +188,6 @@ impl DebugSession {
         result
     }
 
-    /// Reads `len` bytes of physical memory with the read fanned across
-    /// `workers` DRAM-bank workers (the bank-striped scraping strategy).
-    ///
-    /// The bytes — and the audit trail — are identical to
-    /// [`DebugSession::read_phys_range`]; the stripes of each bank are simply
-    /// pulled concurrently, the way an attacker runs one `devmem` loop per
-    /// bank.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DebugSession::read_phys_range`].
-    pub fn read_phys_range_banked(
-        &mut self,
-        kernel: &Kernel,
-        addr: PhysAddr,
-        len: usize,
-        workers: usize,
-    ) -> Result<Vec<u8>, KernelError> {
-        let result = self
-            .shell
-            .devmem_read_bytes_banked(kernel, addr, len, workers);
-        self.audit.record(
-            self.user,
-            DebugOp::ReadPhys {
-                addr,
-                len: len as u64,
-            },
-            result.is_ok(),
-        );
-        result
-    }
-
     /// Borrows `len` bytes of physical memory as a zero-copy view over the
     /// DRAM bank arenas instead of copying them out.
     ///

@@ -10,18 +10,15 @@
 //! ([`DdrGeometry::ordinal_of_stripe`](crate::config::DdrGeometry::ordinal_of_stripe)),
 //! plus a compact stripe-presence bitmap.  Stripe addressing is pure offset
 //! arithmetic — no per-stripe map lookups on any hot path — so bulk reads
-//! ([`Dram::read_bytes`], [`Dram::scrape_banks_parallel`]) collapse to
-//! straight `copy_from_slice` calls, scrubbing collapses to `fill` over a
-//! contiguous slab range per bank, and [`Dram::scrape_view`] can hand out
-//! *borrowed* zero-copy views of the arenas.  Sparse never-written regions
-//! still cost nothing: slabs grow from fresh zeroed (lazily committed)
-//! allocations, and stripes outside every slab span read as zero.
+//! ([`Dram::read_bytes`]) collapse to straight `copy_from_slice` calls,
+//! scrubbing ([`Dram::scrub_range`]) collapses to `fill` over a contiguous
+//! slab range per bank, and [`Dram::scrape_view`] can hand out *borrowed*
+//! zero-copy views of the arenas.  Sparse never-written regions still cost
+//! nothing: slabs grow from fresh zeroed (lazily committed) allocations, and
+//! stripes outside every slab span read as zero.
 //!
 //! All accesses are split at bank boundaries and routed through the
-//! bank-local shards, which is what makes the bank-parallel paths
-//! ([`Dram::scrub_banks_parallel`], [`Dram::scrape_banks_parallel`]) safe: a
-//! worker that owns a disjoint set of bank shards can zero its stripes
-//! without synchronizing with the others.
+//! bank-local shards; each path walks the range once, sequentially.
 //!
 //! The arena store is observationally identical to the flat frame map that
 //! preceded the sharded designs — same bytes, same ownership transitions,
@@ -446,8 +443,7 @@ impl Dram {
     }
 
     /// Number of stripes currently materialized in each bank shard, indexed
-    /// by flat bank id (the store-utilization view the `--banks` experiment
-    /// table reports).
+    /// by flat bank id (the store-utilization view).
     pub fn bank_stripe_counts(&self) -> Vec<usize> {
         self.banks.iter().map(|b| b.present_count).collect()
     }
@@ -553,8 +549,8 @@ impl Dram {
     ///
     /// The view is a pure function of the decay seed, the cell coordinates,
     /// the granule's residue origin and the current logical tick — no state
-    /// is mutated — so sequential and bank-parallel readers produce identical
-    /// bytes, and the whole pass is skipped by one branch under
+    /// is mutated — so every read of the same range produces identical bytes,
+    /// and the whole pass is skipped by one branch under
     /// [`RemanenceModel::Perfect`].
     fn apply_decay_view(&self, addr: PhysAddr, buf: &mut [u8]) {
         if self.remanence.is_perfect() || buf.is_empty() {
@@ -709,86 +705,6 @@ impl Dram {
         let mut buf = [0u8; 8];
         self.read_bytes(addr, &mut buf)?;
         Ok(u64::from_le_bytes(buf))
-    }
-
-    /// Bank-parallel scrape: fills `buf` from `addr` exactly like
-    /// [`Dram::read_bytes`], but fans the copy across `workers` scoped
-    /// threads, each reading a stripe-aligned contiguous slice of the range
-    /// from the (read-only, shareable) bank shards.
-    ///
-    /// The result is **byte-identical** to the sequential read; only the
-    /// wall clock differs.  One worker degenerates to the sequential path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DramError::ZeroWorkers`] for an empty worker pool and
-    /// [`DramError::OutOfRange`] under the same conditions as
-    /// [`Dram::read_bytes`].
-    pub fn scrape_banks_parallel(
-        &self,
-        addr: PhysAddr,
-        buf: &mut [u8],
-        workers: usize,
-    ) -> Result<(), DramError> {
-        if workers == 0 {
-            return Err(DramError::ZeroWorkers);
-        }
-        self.check_range(addr, buf.len() as u64)?;
-        if workers == 1 || buf.len() as u64 <= self.stripe_bytes {
-            self.read_decayed_unchecked(addr, buf);
-            return Ok(());
-        }
-        // Split the output into stripe-aligned contiguous pieces, one per
-        // worker; consecutive stripes rotate through the bank groups, so each
-        // piece naturally spreads over many banks.
-        let sb = self.stripe_bytes;
-        let first_stripe = addr.offset_from(self.config.base()) / sb;
-        let last_stripe = (addr + (buf.len() as u64 - 1)).offset_from(self.config.base()) / sb;
-        let stripes = last_stripe - first_stripe + 1;
-        let stripes_per_worker = stripes.div_ceil(workers as u64);
-
-        // Shadow log (race-check builds only): one window-relative byte
-        // interval per worker piece, asserted cross-worker disjoint after
-        // the scope joins.
-        #[cfg(feature = "race-check")]
-        let race_log = crate::racecheck::AccessLog::new("Dram::scrape_banks_parallel");
-
-        std::thread::scope(|scope| {
-            let mut rest = buf;
-            let mut piece_addr = addr;
-            for w in 0..workers {
-                if rest.is_empty() {
-                    break;
-                }
-                // Bytes from `piece_addr` to the end of this worker's stripe
-                // allotment.
-                let alloc_end_stripe = first_stripe + (w as u64 + 1) * stripes_per_worker;
-                let alloc_end =
-                    self.config.base() + (alloc_end_stripe * sb).min(self.config.capacity());
-                let piece_len = alloc_end.offset_from(piece_addr).min(rest.len() as u64) as usize;
-                let (piece, tail) = rest.split_at_mut(piece_len);
-                rest = tail;
-                let start = piece_addr;
-                #[cfg(feature = "race-check")]
-                {
-                    let rel = start.offset_from(self.config.base());
-                    race_log.record(w, rel..rel + piece_len as u64);
-                }
-                // Decay is a pure per-cell function, so applying it piecewise
-                // inside each worker is byte-identical to the sequential pass.
-                scope.spawn(move || self.read_decayed_unchecked(start, piece));
-                piece_addr += piece_len as u64;
-            }
-            // Any residue (rounding) is handled by the last allotment covering
-            // the full tail; assert the split was exhaustive.
-            debug_assert!(
-                rest.is_empty(),
-                "parallel scrape split must cover the range"
-            );
-        });
-        #[cfg(feature = "race-check")]
-        race_log.finish();
-        Ok(())
     }
 
     /// `true` when [`Dram::scrape_view`] will hand out borrowed views —
@@ -1097,93 +1013,6 @@ impl Dram {
         }
         self.check_range(addr, len)?;
         self.zero_stripes(addr, len);
-        self.drop_zeroed_ownership(addr, len);
-        self.stats.record_scrub(len);
-        Ok(())
-    }
-
-    /// Bank-parallel scrub: zeroes `[addr, addr + len)` exactly like
-    /// [`Dram::scrub_range`], but fans the zeroing across `workers` scoped
-    /// threads, each owning a disjoint contiguous block of bank shards.
-    ///
-    /// Every stripe belongs to exactly one bank (the partition
-    /// [`DdrMapping::split_at_bank_boundaries`] exposes), so the workers
-    /// never touch the same buffer; the frame-granular ownership pass runs
-    /// once afterwards, serially.  The result — contents, ownership and the
-    /// byte/op counters of [`DramStats`] — is **identical** to the
-    /// sequential scrub; only the wall clock and the fan-out telemetry
-    /// ([`DramStats::parallel_scrub_ops`]) differ.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DramError::ZeroWorkers`] for an empty worker pool, plus the
-    /// same errors as [`Dram::scrub_range`].
-    pub fn scrub_banks_parallel(
-        &mut self,
-        addr: PhysAddr,
-        len: u64,
-        workers: usize,
-    ) -> Result<(), DramError> {
-        if workers == 0 {
-            return Err(DramError::ZeroWorkers);
-        }
-        if len == 0 {
-            return Err(DramError::EmptyRange { addr });
-        }
-        self.check_range(addr, len)?;
-        let workers = workers.min(self.banks.len());
-        if workers <= 1 {
-            self.zero_stripes(addr, len);
-        } else {
-            let sb = self.stripe_bytes;
-            let base = self.config.base();
-            let rel_start = addr.offset_from(base);
-            let rel_end = rel_start + len;
-            let geometry = self.config.geometry();
-            let bound = self.ordinal_bound;
-            let banks_per_worker = self.banks.len().div_ceil(workers);
-            // chunks_mut can produce fewer blocks than requested workers when
-            // the bank count does not divide evenly; telemetry records the
-            // threads that actually run.
-            let spawned = self.banks.len().div_ceil(banks_per_worker);
-
-            // Shadow log (race-check builds only): one bank-ordinal interval
-            // per worker block, asserted cross-worker disjoint after the
-            // scope joins.
-            #[cfg(feature = "race-check")]
-            let race_log = crate::racecheck::AccessLog::new("Dram::scrub_banks_parallel");
-
-            std::thread::scope(|scope| {
-                for (block, shard_block) in self.banks.chunks_mut(banks_per_worker).enumerate() {
-                    let first_bank = block * banks_per_worker;
-                    #[cfg(feature = "race-check")]
-                    race_log.record(
-                        block,
-                        first_bank as u64..(first_bank + shard_block.len()) as u64,
-                    );
-                    scope.spawn(move || {
-                        // Each shard arena holds only its own bank's stripes,
-                        // so a worker zeroes the covered slab ranges of its
-                        // block — one contiguous fill per bank for the fully
-                        // covered interior, plus the clipped edge stripes.
-                        for (i, shard) in shard_block.iter_mut().enumerate() {
-                            scrub_shard_range(
-                                shard,
-                                &geometry,
-                                (first_bank + i) as u64,
-                                sb,
-                                rel_start,
-                                rel_end,
-                                bound,
-                            );
-                        }
-                    });
-                }
-            });
-            #[cfg(feature = "race-check")]
-            race_log.finish();
-            self.stats.record_parallel_scrub(spawned);
-        }
         self.drop_zeroed_ownership(addr, len);
         self.stats.record_scrub(len);
         Ok(())
@@ -1520,32 +1349,10 @@ mod tests {
             d.scrub_range(base, 0),
             Err(DramError::EmptyRange { .. })
         ));
-        assert!(matches!(
-            d.scrub_banks_parallel(base, 0, 4),
-            Err(DramError::EmptyRange { .. })
-        ));
         // Nothing was recorded for the rejected calls.
         assert_eq!(d.stats().bytes_written(), 0);
         assert_eq!(d.stats().bytes_scrubbed(), 0);
         assert_eq!(d.materialized_frames(), 0);
-    }
-
-    #[test]
-    fn zero_worker_parallel_ops_are_rejected() {
-        let mut d = dram();
-        let base = d.config().base();
-        d.fill(base, PAGE_SIZE, 0xEE, OwnerTag::new(1)).unwrap();
-        assert!(matches!(
-            d.scrub_banks_parallel(base, PAGE_SIZE, 0),
-            Err(DramError::ZeroWorkers)
-        ));
-        let mut buf = vec![0u8; PAGE_SIZE as usize];
-        assert!(matches!(
-            d.scrape_banks_parallel(base, &mut buf, 0),
-            Err(DramError::ZeroWorkers)
-        ));
-        // The data survived the rejected scrub.
-        assert_eq!(d.read_u8(base).unwrap(), 0xEE);
     }
 
     #[test]
@@ -1569,10 +1376,6 @@ mod tests {
             d.scrub_range(start, u64::MAX),
             Err(DramError::LengthOverflow { .. })
         ));
-        assert!(matches!(
-            d.scrub_banks_parallel(start, u64::MAX, 4),
-            Err(DramError::LengthOverflow { .. })
-        ));
     }
 
     #[test]
@@ -1586,7 +1389,6 @@ mod tests {
         d.write_bytes(base, &[], OwnerTag::new(1)).unwrap();
         let mut empty: [u8; 0] = [];
         d.read_bytes(base, &mut empty).unwrap();
-        d.scrape_banks_parallel(base, &mut empty, 4).unwrap();
         assert_eq!(d.materialized_frames(), 0);
         assert!(d.frame_ownership(base.frame_number()).is_none());
         // At the last valid byte of the window, too.
@@ -1604,74 +1406,6 @@ mod tests {
         assert_eq!(d.stats().bytes_scrubbed(), 3);
         d.reset_stats();
         assert_eq!(d.stats().bytes_written(), 0);
-    }
-
-    #[test]
-    fn parallel_scrub_matches_sequential_scrub_exactly() {
-        let pattern = |d: &mut Dram| {
-            let base = d.config().base();
-            let owner = OwnerTag::new(42);
-            let other = OwnerTag::new(77);
-            // Victim data across several frames and bank stripes, plus a
-            // live neighbour that must stay attributed.
-            d.fill(base, 5 * PAGE_SIZE + 123, 0xEE, owner).unwrap();
-            d.write_bytes(base + 7 * PAGE_SIZE, &[0xAB; 300], other)
-                .unwrap();
-            d.retire_owner(owner);
-        };
-        let mut serial = dram();
-        pattern(&mut serial);
-        let mut parallel = dram();
-        pattern(&mut parallel);
-
-        let base = serial.config().base();
-        // Scrub a range that starts and ends mid-frame and mid-stripe.
-        let start = base + 100;
-        let len = 4 * PAGE_SIZE + 777;
-        serial.scrub_range(start, len).unwrap();
-        parallel.scrub_banks_parallel(start, len, 4).unwrap();
-
-        let mut a = vec![0u8; 9 * PAGE_SIZE as usize];
-        let mut b = vec![0u8; 9 * PAGE_SIZE as usize];
-        serial.read_bytes(base, &mut a).unwrap();
-        parallel.read_bytes(base, &mut b).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(serial.residue_bytes(), parallel.residue_bytes());
-        assert_eq!(
-            serial.stats().bytes_scrubbed(),
-            parallel.stats().bytes_scrubbed()
-        );
-        assert_eq!(serial.stats().scrub_ops(), parallel.stats().scrub_ops());
-        for frame in 0..9u64 {
-            let f = (base + frame * PAGE_SIZE).frame_number();
-            assert_eq!(serial.frame_ownership(f), parallel.frame_ownership(f));
-        }
-        // Fan-out telemetry is the only difference.
-        assert_eq!(serial.stats().parallel_scrub_ops(), 0);
-        assert_eq!(parallel.stats().parallel_scrub_ops(), 1);
-        assert_eq!(parallel.stats().peak_scrub_workers(), 4);
-    }
-
-    #[test]
-    fn parallel_scrape_matches_sequential_read_exactly() {
-        let mut d = dram();
-        let base = d.config().base();
-        let data: Vec<u8> = (0..6 * PAGE_SIZE + 991).map(|i| (i % 255) as u8).collect();
-        d.write_bytes(base + 17, &data, OwnerTag::new(3)).unwrap();
-
-        let len = 8 * PAGE_SIZE as usize;
-        let mut serial = vec![0u8; len];
-        d.read_bytes(base, &mut serial).unwrap();
-        for workers in [1usize, 2, 3, 4, 7] {
-            let mut parallel = vec![0u8; len];
-            d.scrape_banks_parallel(base, &mut parallel, workers)
-                .unwrap();
-            assert_eq!(serial, parallel, "workers={workers}");
-        }
-        // Worker counts beyond the stripe count still cover the range.
-        let mut tiny = vec![0u8; 10];
-        d.scrape_banks_parallel(base + 5, &mut tiny, 64).unwrap();
-        assert_eq!(tiny, serial[5..15]);
     }
 
     #[test]
@@ -1815,26 +1549,6 @@ mod tests {
     }
 
     #[test]
-    fn decayed_parallel_scrape_is_byte_identical_to_sequential() {
-        for model in [
-            RemanenceModel::Exponential { half_life_ticks: 3 },
-            RemanenceModel::BitFlip { rate_ppm: 300_000 },
-        ] {
-            let (mut d, base, _) = decaying_dram(model);
-            d.advance_remanence(5);
-            let len = 6 * PAGE_SIZE as usize;
-            let mut serial = vec![0u8; len];
-            d.read_bytes(base, &mut serial).unwrap();
-            for workers in [1usize, 2, 3, 4, 7] {
-                let mut parallel = vec![0u8; len];
-                d.scrape_banks_parallel(base, &mut parallel, workers)
-                    .unwrap();
-                assert_eq!(serial, parallel, "{model} workers={workers}");
-            }
-        }
-    }
-
-    #[test]
     fn rewriting_residue_resets_its_decay_epoch() {
         let (mut d, base, _) = decaying_dram(RemanenceModel::Exponential { half_life_ticks: 1 });
         d.advance_remanence(64);
@@ -1968,37 +1682,6 @@ mod tests {
             let mut back = vec![0u8; len as usize];
             d.read_bytes(addr, &mut back).unwrap();
             prop_assert!(back.iter().all(|&b| b == 0));
-        }
-
-        #[test]
-        fn prop_parallel_scrub_equals_sequential(offset in 0u64..(16*1024*1024 - 64*1024), len in 1u64..(64*1024), workers in 1usize..9) {
-            let mut serial = dram();
-            let mut parallel = dram();
-            let addr = serial.config().base() + offset;
-            for d in [&mut serial, &mut parallel] {
-                d.fill(addr, len, 0xD7, OwnerTag::new(11)).unwrap();
-                d.retire_owner(OwnerTag::new(11));
-            }
-            serial.scrub_range(addr, len).unwrap();
-            parallel.scrub_banks_parallel(addr, len, workers).unwrap();
-            let mut a = vec![0u8; len as usize];
-            let mut b = vec![0u8; len as usize];
-            serial.read_bytes(addr, &mut a).unwrap();
-            parallel.read_bytes(addr, &mut b).unwrap();
-            prop_assert_eq!(a, b);
-            prop_assert_eq!(serial.residue_bytes(), parallel.residue_bytes());
-        }
-
-        #[test]
-        fn prop_parallel_scrape_equals_sequential(offset in 0u64..(16*1024*1024 - 64*1024), len in 1usize..(64*1024), workers in 1usize..9) {
-            let mut d = dram();
-            let addr = d.config().base() + offset;
-            d.fill(addr, (len as u64).max(8), 0x5C, OwnerTag::new(2)).unwrap();
-            let mut serial = vec![0u8; len];
-            let mut parallel = vec![0u8; len];
-            d.read_bytes(addr, &mut serial).unwrap();
-            d.scrape_banks_parallel(addr, &mut parallel, workers).unwrap();
-            prop_assert_eq!(serial, parallel);
         }
     }
 }

@@ -50,15 +50,9 @@ pub enum DramError {
         /// The address that has no DDR coordinates.
         addr: PhysAddr,
     },
-    /// A bank-parallel operation was requested with a zero-sized worker pool.
-    ///
-    /// Like [`DramError::EmptyRange`], this is always a caller bug (usually a
-    /// miscomputed `--jobs` value), so the device rejects it instead of
-    /// silently degrading to a no-op.
-    ZeroWorkers,
     /// A multi-snapshot read was requested with zero snapshots.
     ///
-    /// Like [`DramError::ZeroWorkers`], a snapshot count of zero is always a
+    /// Like [`DramError::EmptyRange`], a snapshot count of zero is always a
     /// caller bug — fusing zero reads has no defined result — so it is
     /// rejected instead of returning an empty dump.
     ZeroSnapshots,
@@ -90,9 +84,6 @@ impl fmt::Display for DramError {
                     f,
                     "address {addr} is outside the DRAM window and has no DDR coordinates"
                 )
-            }
-            DramError::ZeroWorkers => {
-                write!(f, "bank-parallel operation requested with zero workers")
             }
             DramError::ZeroSnapshots => {
                 write!(f, "multi-snapshot read requested with zero snapshots")
@@ -132,7 +123,6 @@ mod tests {
             addr: PhysAddr::new(0x10),
         };
         assert!(e.to_string().contains("no DDR coordinates"));
-        assert!(DramError::ZeroWorkers.to_string().contains("zero workers"));
         assert!(DramError::ZeroSnapshots
             .to_string()
             .contains("zero snapshots"));

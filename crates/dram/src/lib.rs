@@ -9,10 +9,8 @@
 //!   backing store is **sharded by DRAM bank into contiguous arenas**: one
 //!   lazily grown slab plus stripe-presence bitmap per bank, so stripe
 //!   addressing is pure offset arithmetic.  Requests are split at bank
-//!   boundaries and routed to the per-bank arenas; the bank-parallel
-//!   [`Dram::scrub_banks_parallel`] / [`Dram::scrape_banks_parallel`] paths
-//!   fan work across them while staying byte-identical to the sequential
-//!   operations, and [`Dram::scrape_view`] borrows **zero-copy**
+//!   boundaries and routed to the per-bank arenas, each read or scrub walking
+//!   its range once, and [`Dram::scrape_view`] borrows **zero-copy**
 //!   [`ScrapeView`]s straight out of the slabs, searched in one streaming
 //!   pass by [`Matcher`],
 //! - the DDR address interleaving used by the memory controller
@@ -24,8 +22,8 @@
 //! - **analog remanence** ([`remanence::RemanenceModel`]): Pentimento-style
 //!   per-cell decay of that residue over logical ticks, applied lazily as a
 //!   pure view when non-owned residue is read — so the hot paths are
-//!   untouched under the perfect (no-decay) model and bank-parallel scrapes
-//!   stay byte-identical to sequential ones,
+//!   untouched under the perfect (no-decay) model and every read of the same
+//!   range sees the same bytes,
 //! - end-of-process [`sanitize::SanitizePolicy`] implementations with a cost
 //!   model, used by the defense-evaluation experiments.
 //!

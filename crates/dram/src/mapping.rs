@@ -17,8 +17,7 @@
 //! inside one bank, and consecutive stripes rotate through the bank groups.
 //! [`DdrMapping::split_at_bank_boundaries`] decomposes an arbitrary byte
 //! range into those single-bank chunks — the partition the sharded
-//! [`Dram`](crate::Dram) store and its bank-parallel scrub/scrape paths are
-//! built on.
+//! [`Dram`](crate::Dram) store is built on.
 //!
 //! Every entry point rejects out-of-window addresses with the typed
 //! [`DramError::OutsideWindow`] error (decompose and the bulk span/splitting
@@ -149,8 +148,7 @@ impl DdrMapping {
     ///
     /// The chunks form a partition: concatenating them reproduces the range
     /// exactly, and each chunk lies wholly inside the bank it names.  This is
-    /// the decomposition the sharded store routes requests through and the
-    /// parallel scrub/scrape paths fan out over.
+    /// the partition the sharded store's per-stripe routing follows.
     ///
     /// # Errors
     ///

@@ -1,14 +1,10 @@
-//! Shadow-state disjointness checker for the bank-parallel paths.
+//! Shadow-state disjointness checker for the campaign engine's parallel work.
 //!
-//! The parallel operations in this workspace are data-race-free *by
-//! construction*: `Dram::scrape_banks_parallel` hands each worker a
-//! `split_at_mut` piece of the output buffer, `Dram::scrub_banks_parallel`
-//! gives each worker a `chunks_mut` block of bank shards, and the streaming
-//! campaign collector claims cell blocks under a mutex.  The borrow checker
-//! proves the *memory* is disjoint, but nothing previously checked that the
-//! *logical intervals* those borrows are meant to cover — stripe ranges,
-//! bank ordinals, cell indexes — actually partition the request without
-//! cross-worker overlap or gaps introduced by an arithmetic slip.
+//! The streaming campaign collector claims cell blocks under a mutex, so its
+//! workers are data-race-free *by construction*.  Nothing in the types,
+//! however, checks that the *logical intervals* those claims are meant to
+//! cover — cell indexes — actually partition the matrix without cross-worker
+//! overlap introduced by an arithmetic slip.
 //!
 //! This module is that check.  Behind the `race-check` feature (release
 //! builds are untouched), each parallel operation records one
@@ -19,10 +15,9 @@
 //! — turning "the tests happened to pass" into "every interval the workers
 //! touched was provably private to one worker".
 //!
-//! Interval units are per-operation (documented at each call site): byte
-//! offsets for scrapes, bank ordinals for scrubs, cell indexes for the
-//! streaming engine.  Logs from different operations are never mixed, so the
-//! units never collide.
+//! Interval units are per-operation (documented at each call site; the
+//! streaming engine logs cell indexes).  Logs from different operations are
+//! never mixed, so the units never collide.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};

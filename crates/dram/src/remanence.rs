@@ -14,13 +14,12 @@
 //!
 //! Decay is a *view*, not a mutation: the store keeps the raw residue bytes
 //! and applies the model lazily when non-owned residue is read (see
-//! [`Dram`](crate::Dram)).  Three invariants make the view safe to fan out
-//! across the bank-parallel scrape paths:
+//! [`Dram`](crate::Dram)).  Three invariants make the view replayable:
 //!
 //! - **Pure** — a cell's decayed value depends only on the decay seed, the
 //!   cell's (stripe, offset) coordinates, the elapsed ticks since the stripe
-//!   became residue, and the raw byte.  Sequential and bank-striped reads of
-//!   the same state are therefore byte-identical by construction.
+//!   became residue, and the raw byte.  Every read of the same state is
+//!   therefore byte-identical by construction, whatever range it covers.
 //! - **Monotone** — as elapsed ticks grow, a cell can only lose information:
 //!   survival thresholds shrink ([`RemanenceModel::Exponential`]) or
 //!   clear-bit thresholds grow ([`RemanenceModel::BitFlip`]).  Decay never
@@ -45,8 +44,7 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 /// The per-cell decay draw: a uniform `u64` derived from the decay seed and
 /// the cell's (bank stripe, offset-in-stripe) coordinates.  This is the
 /// per-stripe decay state in functional form — every bank shard's stripes
-/// draw from their own slice of the sequence, so bank-parallel readers never
-/// share or race on it.
+/// draw from their own slice of the sequence, so no read mutates it.
 pub fn cell_hash(seed: u64, stripe: u64, offset_in_stripe: u64) -> u64 {
     let h = splitmix64(seed ^ stripe.wrapping_mul(0xA24B_AED4_963E_E407));
     splitmix64(h ^ offset_in_stripe.wrapping_mul(0x9FB2_1C65_1E98_DF25))

@@ -150,9 +150,6 @@ impl SanitizePolicy {
     /// records what was cleared immediately, what was deferred, the modelled
     /// cycle cost, and any collateral damage to other live owners' frames.
     ///
-    /// Equivalent to [`SanitizePolicy::apply_with_workers`] with one worker
-    /// (fully sequential scrubbing).
-    ///
     /// # Panics
     ///
     /// Panics if a freed frame lies outside the DRAM window (the kernel only
@@ -164,33 +161,6 @@ impl SanitizePolicy {
         freed: &[FrameNumber],
         cost: &SanitizeCost,
     ) -> ScrubReport {
-        self.apply_with_workers(dram, terminated, freed, cost, 1)
-    }
-
-    /// Applies the policy like [`SanitizePolicy::apply`], fanning the
-    /// bank-addressed scrub spans (RowClone rows, RowReset banks) across
-    /// `workers` bank-shard workers via [`Dram::scrub_banks_parallel`].
-    ///
-    /// The report and the resulting DRAM state are **identical** to the
-    /// sequential application — the cost model charges the same cycles, the
-    /// same bytes are cleared and the same collateral is recorded; only wall
-    /// clock changes.  Frame-exact policies (zero-on-free, selective scrub)
-    /// always scrub their 4 KiB frames sequentially: at that granularity a
-    /// bank fan-out has nothing to win.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a freed frame lies outside the DRAM window, or if `workers`
-    /// is zero.
-    pub fn apply_with_workers(
-        &self,
-        dram: &mut Dram,
-        terminated: OwnerTag,
-        freed: &[FrameNumber],
-        cost: &SanitizeCost,
-        workers: usize,
-    ) -> ScrubReport {
-        assert!(workers > 0, "sanitizer worker pool must be non-empty");
         let mut report = ScrubReport::new(*self, terminated, freed.len());
         // Termination retires *both* substrates: the frames become residue
         // and the owner's compressed swap slots become swap residue.  Only
@@ -232,7 +202,7 @@ impl SanitizePolicy {
                     // Whole rows (the RowClone granule), with the final row
                     // clipped to the window like the mapping's spans are.
                     let len = row_bytes.min(dram.config().end().offset_from(addr));
-                    scrub_span(dram, addr, len, terminated, workers, &mut report);
+                    scrub_span(dram, addr, len, terminated, &mut report);
                     report.cost_cycles += cost.rowclone_per_row;
                     addr += row_bytes;
                 }
@@ -254,7 +224,7 @@ impl SanitizePolicy {
                         .expect("freed frame outside DRAM window")
                     {
                         let len = end.offset_from(start);
-                        scrub_span(dram, start, len, terminated, workers, &mut report);
+                        scrub_span(dram, start, len, terminated, &mut report);
                     }
                     report.cost_cycles += cost.rowreset_per_bank;
                     report.banks_reset += 1;
@@ -373,7 +343,6 @@ fn scrub_span(
     start: PhysAddr,
     len: u64,
     terminated: OwnerTag,
-    workers: usize,
     report: &mut ScrubReport,
 ) {
     // Account collateral before clearing: any frame in the span owned by a
@@ -389,12 +358,8 @@ fn scrub_span(
         }
         addr += PAGE_SIZE;
     }
-    if workers > 1 {
-        dram.scrub_banks_parallel(start, len, workers)
-    } else {
-        dram.scrub_range(start, len)
-    }
-    .expect("scrub span outside DRAM window");
+    dram.scrub_range(start, len)
+        .expect("scrub span outside DRAM window");
     report.bytes_scrubbed += len;
 }
 
@@ -552,47 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn bank_parallel_application_is_identical_to_sequential() {
-        // The bank-addressed policies (RowClone / RowReset) must produce the
-        // same report and the same DRAM state whether their spans run on one
-        // worker or fan out over the bank shards.
-        for policy in [SanitizePolicy::RowClone, SanitizePolicy::RowReset] {
-            let (mut serial_dram, victim, frames) = setup();
-            let (mut parallel_dram, victim_p, frames_p) = setup();
-            let other = OwnerTag::new(2000);
-            for dram in [&mut serial_dram, &mut parallel_dram] {
-                let neighbour = dram.config().base() + PAGE_SIZE;
-                dram.fill(neighbour, PAGE_SIZE, 0xAB, other).unwrap();
-            }
-
-            let serial = policy.apply(&mut serial_dram, victim, &frames, &SanitizeCost::default());
-            let parallel = policy.apply_with_workers(
-                &mut parallel_dram,
-                victim_p,
-                &frames_p,
-                &SanitizeCost::default(),
-                4,
-            );
-            assert_eq!(serial, parallel, "{policy} report");
-            let mut a = vec![0u8; 10 * PAGE_SIZE as usize];
-            let mut b = vec![0u8; 10 * PAGE_SIZE as usize];
-            serial_dram
-                .read_bytes(serial_dram.config().base(), &mut a)
-                .unwrap();
-            parallel_dram
-                .read_bytes(parallel_dram.config().base(), &mut b)
-                .unwrap();
-            assert_eq!(a, b, "{policy} contents");
-            assert_eq!(
-                serial_dram.stats().deterministic_view(),
-                parallel_dram.stats().deterministic_view(),
-                "{policy} stats"
-            );
-            assert_eq!(serial_dram.residue_bytes(), parallel_dram.residue_bytes());
-        }
-    }
-
-    #[test]
     fn sanitizers_are_remanence_independent() {
         // A policy applied under a decaying remanence model produces the
         // identical report (bytes, cost, collateral) as under the perfect
@@ -630,19 +554,6 @@ mod tests {
                 assert_eq!(decayed_dram.residue_decay(None).raw_bytes, 0, "{policy}");
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "worker pool must be non-empty")]
-    fn zero_worker_application_is_rejected() {
-        let (mut dram, victim, frames) = setup();
-        let _ = SanitizePolicy::RowClone.apply_with_workers(
-            &mut dram,
-            victim,
-            &frames,
-            &SanitizeCost::default(),
-            0,
-        );
     }
 
     #[test]

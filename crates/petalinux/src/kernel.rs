@@ -639,24 +639,6 @@ impl Kernel {
         Ok(self.dram.scrape_view(addr, len)?)
     }
 
-    /// Reads raw bytes from physical memory with the read fanned across
-    /// `workers` bank-shard workers ([`zynq_dram::Dram::scrape_banks_parallel`]).
-    ///
-    /// The bytes returned are identical to [`Kernel::read_physical_bytes`];
-    /// only the wall clock differs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DRAM range errors, and rejects a zero-sized worker pool.
-    pub fn read_physical_bytes_parallel(
-        &self,
-        addr: PhysAddr,
-        buf: &mut [u8],
-        workers: usize,
-    ) -> Result<(), KernelError> {
-        Ok(self.dram.scrape_banks_parallel(addr, buf, workers)?)
-    }
-
     /// Reads the same physical range `snapshots` times, advancing the decay
     /// clock one tick between reads (each snapshot therefore sees the residue
     /// one revival window later than the previous one).

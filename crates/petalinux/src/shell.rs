@@ -146,27 +146,6 @@ impl Shell {
         Ok(buf)
     }
 
-    /// The bank-striped form of [`Shell::devmem_read_bytes`]: several
-    /// `devmem` loops running concurrently, one per stripe-aligned slice of
-    /// the range.  Same permission check, byte-identical result.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Shell::devmem_read_bytes`], plus a rejection of
-    /// zero-sized worker pools.
-    pub fn devmem_read_bytes_banked(
-        &self,
-        kernel: &Kernel,
-        addr: PhysAddr,
-        len: usize,
-        workers: usize,
-    ) -> Result<Vec<u8>, KernelError> {
-        self.check_devmem(kernel)?;
-        let mut buf = vec![0u8; len];
-        kernel.read_physical_bytes_parallel(addr, &mut buf, workers)?;
-        Ok(buf)
-    }
-
     /// The zero-copy form of [`Shell::devmem_read_bytes`]: borrows the range
     /// straight out of the DRAM bank arenas instead of copying it.  Same
     /// permission check; `Ok(None)` when the remanence model forces an owned

@@ -118,58 +118,6 @@ fn report_is_worker_count_independent_and_replayable() {
     assert_eq!(live.revival_inherited_frames, 0);
 }
 
-/// The bank-striped scrape matrix: striping the scrape across DRAM banks is
-/// a wall-clock knob, never a science knob.  For the same spec, (a) campaign
-/// reports are byte-identical between 1 and 4 pool workers, (b) the metrics
-/// of a `BankStriped { workers }` cell are identical at every fan-out, and
-/// (c) they match the plain contiguous attacker cell for cell — across
-/// models, sanitize policies and schedules.
-#[test]
-fn bank_striped_scrape_matrix_is_worker_count_independent() {
-    let spec_with_mode = |mode: ScrapeMode| {
-        CampaignSpec::new("tiny", BoardConfig::tiny_for_tests())
-            .with_models(vec![ModelKind::SqueezeNet, ModelKind::MobileNetV2])
-            .with_inputs(vec![InputKind::Corrupted])
-            .with_sanitize_policies(vec![SanitizePolicy::None, SanitizePolicy::SelectiveScrub])
-            .with_schedules(vec![
-                VictimSchedule::Single,
-                VictimSchedule::LiveTraffic {
-                    tenants: 1,
-                    churn_rate: 1,
-                },
-            ])
-            .with_scrape_modes(vec![mode])
-            .with_seed(0xBA2C)
-    };
-
-    // (a) Pool-worker independence of the bank-striped matrix itself.
-    let striped = spec_with_mode(ScrapeMode::BankStriped { workers: 4 });
-    let serial = striped.run_with_workers(1).unwrap();
-    let pooled = striped.run_with_workers(4).unwrap();
-    assert_eq!(serial.len(), 8);
-    assert_eq!(deterministic_view(&serial), deterministic_view(&pooled));
-
-    // (b) + (c) Scrape fan-out independence: 1-striped, 4-striped and plain
-    // contiguous cells recover identical metrics, cell for cell.
-    let contiguous = spec_with_mode(ScrapeMode::ContiguousRange)
-        .run_with_workers(4)
-        .unwrap();
-    let one_striped = spec_with_mode(ScrapeMode::BankStriped { workers: 1 })
-        .run_with_workers(4)
-        .unwrap();
-    for index in 0..contiguous.len() {
-        let reference = &contiguous.cells()[index];
-        for (label, report) in [("striped(4)", &pooled), ("striped(1)", &one_striped)] {
-            let cell = &report.cells()[index];
-            assert_eq!(cell.result, reference.result, "{label} cell {index}");
-            assert_eq!(cell.metrics, reference.metrics, "{label} cell {index}");
-        }
-    }
-    // The matrix is not degenerate: the unsanitized half leaks.
-    assert!(pooled.identified_count() > 0);
-    assert!(pooled.identified_count() < pooled.len());
-}
-
 /// The remanence decay axis is a science knob, but a deterministic one: a
 /// swept matrix (decay models × sanitize × schedules, with the chunked
 /// live-traffic scrape ticking the decay clock mid-read) is byte-identical
@@ -274,8 +222,8 @@ fn live_traffic_churn_is_pinned_to_the_cell_seed() {
 }
 
 /// Race-check builds only: stream the matrix through a multi-worker pool and
-/// assert the shadow-state checker audited the block claims (and every
-/// bank-parallel scrape underneath) with zero cross-worker overlaps.  This is
+/// assert the shadow-state checker audited the block claims with zero
+/// cross-worker overlaps.  This is
 /// the "wired into the determinism suite" guarantee — the determinism
 /// equalities above hold *and* the partitioning they rely on was verified,
 /// not assumed.
@@ -285,7 +233,7 @@ fn race_checker_audits_the_streaming_pool_with_zero_overlaps() {
     use fpga_msa::dram::racecheck;
 
     let before = racecheck::stats();
-    let spec = matrix_spec().with_scrape_modes(vec![ScrapeMode::BankStriped { workers: 4 }]);
+    let spec = matrix_spec().with_scrape_modes(vec![ScrapeMode::ContiguousRange]);
     let summary = spec
         .stream_cells(
             StreamConfig::default().with_workers(4).with_block_size(8),

@@ -5,11 +5,9 @@
 //! `HashMap` of page-sized frames, ownership tagged per frame, stats counted
 //! per operation).  The harness then drives the *same seeded operation
 //! sequences* — writes, fills, scrubs and scrapes deliberately crossing
-//! frame, bank, bank-group and rank boundaries — against the flat reference,
-//! the sharded store, and the sharded store with every scrub/scrape routed
-//! through the bank-parallel paths, asserting byte-identical contents,
-//! identical ownership transitions and identical `DramStats` counters
-//! throughout.
+//! frame, bank, bank-group and rank boundaries — against the flat reference
+//! and the sharded store, asserting byte-identical contents, identical
+//! ownership transitions and identical `DramStats` counters throughout.
 
 // Lint audit: address arithmetic here is bounds-checked against the
 // DRAM window before any narrowing cast or direct index; offsets are
@@ -19,7 +17,7 @@
 use std::collections::HashMap;
 
 use fpga_msa::dram::config::DdrGeometry;
-use fpga_msa::dram::{Dram, DramConfig, DramError, OwnerTag, PhysAddr, PAGE_SIZE};
+use fpga_msa::dram::{Dram, DramConfig, DramError, DramStats, OwnerTag, PhysAddr, PAGE_SIZE};
 
 /// splitmix64 — the workspace's standard deterministic sequence generator.
 fn splitmix64(x: &mut u64) -> u64 {
@@ -251,15 +249,23 @@ fn harness_configs() -> Vec<(&'static str, DramConfig)> {
     ]
 }
 
+/// The four `DramStats` counters, in the order `FlatDram` keeps them.
+fn counters(stats: &DramStats) -> (u64, u64, u64, u64) {
+    (
+        stats.bytes_written(),
+        stats.bytes_scrubbed(),
+        stats.write_ops(),
+        stats.scrub_ops(),
+    )
+}
+
 /// One differential run: `ops` seeded operations applied in lockstep to the
-/// flat reference, the sharded store, and the sharded store using the
-/// bank-parallel scrub/scrape paths, with equivalence asserted after every
-/// mutation.
+/// flat reference and the sharded store, with equivalence asserted after
+/// every mutation.
 fn run_differential(name: &str, config: DramConfig, seed: u64, ops: usize) {
     let mut rng = seed;
     let mut flat = FlatDram::new(config);
     let mut sharded = Dram::new(config);
-    let mut parallel = Dram::new(config);
 
     let capacity = config.capacity();
     let base = config.base();
@@ -283,49 +289,34 @@ fn run_differential(name: &str, config: DramConfig, seed: u64, ops: usize) {
                 let data: Vec<u8> = (0..len).map(|i| byte ^ (i % 253) as u8).collect();
                 flat.write_bytes(addr, &data, owner).unwrap();
                 sharded.write_bytes(addr, &data, owner).unwrap();
-                parallel.write_bytes(addr, &data, owner).unwrap();
             }
             1 => {
                 let byte = (splitmix64(&mut rng) & 0xFF) as u8;
                 flat.fill(addr, len, byte, owner).unwrap();
                 sharded.fill(addr, len, byte, owner).unwrap();
-                parallel.fill(addr, len, byte, owner).unwrap();
             }
             2 => {
                 flat.scrub_range(addr, len).unwrap();
                 sharded.scrub_range(addr, len).unwrap();
-                // The third instance always scrubs through the bank-parallel
-                // path, at a worker count that varies with the sequence.
-                let workers = 1 + (splitmix64(&mut rng) % 8) as usize;
-                parallel.scrub_banks_parallel(addr, len, workers).unwrap();
             }
             3 => {
                 let value = (splitmix64(&mut rng) & 0xFF) as u8;
                 flat.write_bytes(addr, &[value], owner).unwrap();
                 sharded.write_u8(addr, value, owner).unwrap();
-                parallel.write_u8(addr, value, owner).unwrap();
             }
             4 => {
                 let retired_flat = flat.retire_owner(owner);
                 let retired_sharded = sharded.retire_owner(owner);
-                let retired_parallel = parallel.retire_owner(owner);
                 assert_eq!(retired_flat, retired_sharded, "{ctx}");
-                assert_eq!(retired_sharded, retired_parallel, "{ctx}");
             }
             _ => {
-                // Read comparison: flat read vs sharded read vs parallel
-                // scrape of the same range.
+                // Read comparison: flat read vs sharded read of the same
+                // range.
                 let mut a = vec![0u8; len as usize];
                 let mut b = vec![0u8; len as usize];
-                let mut c = vec![0u8; len as usize];
                 flat.read_bytes(addr, &mut a).unwrap();
                 sharded.read_bytes(addr, &mut b).unwrap();
-                let workers = 1 + (splitmix64(&mut rng) % 8) as usize;
-                parallel
-                    .scrape_banks_parallel(addr, &mut c, workers)
-                    .unwrap();
                 assert_eq!(a, b, "{ctx}");
-                assert_eq!(b, c, "{ctx}");
             }
         }
 
@@ -337,33 +328,18 @@ fn run_differential(name: &str, config: DramConfig, seed: u64, ops: usize) {
             sharded.materialized_frames(),
             "{ctx}: materialized frames"
         );
-        assert_eq!(
-            sharded.materialized_frames(),
-            parallel.materialized_frames(),
-            "{ctx}"
-        );
         if step % 32 == 31 {
             assert_eq!(flat.residue_bytes(), sharded.residue_bytes(), "{ctx}");
-            assert_eq!(sharded.residue_bytes(), parallel.residue_bytes(), "{ctx}");
         }
     }
     assert_eq!(flat.residue_bytes(), sharded.residue_bytes(), "{name}");
-    assert_eq!(sharded.residue_bytes(), parallel.residue_bytes(), "{name}");
 
     // Full-window byte sweep: every byte of the window agrees.
     let mut flat_view = vec![0u8; capacity as usize];
     let mut sharded_view = vec![0u8; capacity as usize];
-    let mut parallel_view = vec![0u8; capacity as usize];
     flat.read_bytes(base, &mut flat_view).unwrap();
     sharded.read_bytes(base, &mut sharded_view).unwrap();
-    parallel
-        .scrape_banks_parallel(base, &mut parallel_view, 4)
-        .unwrap();
     assert_eq!(flat_view, sharded_view, "{name}: window contents");
-    assert_eq!(
-        sharded_view, parallel_view,
-        "{name}: parallel window scrape"
-    );
 
     // Ownership records agree frame by frame.
     for idx in 0..(capacity / PAGE_SIZE) {
@@ -371,25 +347,14 @@ fn run_differential(name: &str, config: DramConfig, seed: u64, ops: usize) {
         let flat_rec = flat.ownership.get(&idx).copied();
         let sharded_rec = sharded.frame_ownership(frame).map(|r| (r.owner, r.live));
         assert_eq!(flat_rec, sharded_rec, "{name}: ownership of frame {idx}");
-        assert_eq!(
-            sharded.frame_ownership(frame),
-            parallel.frame_ownership(frame),
-            "{name}: parallel ownership of frame {idx}"
-        );
     }
 
-    // DramStats counters: the sharded store counts exactly like the flat one,
-    // and the parallel paths count exactly like the sequential ones.
-    let (written, scrubbed, write_ops, scrub_ops) = sharded.stats().deterministic_view();
+    // DramStats counters: the sharded store counts exactly like the flat one.
+    let (written, scrubbed, write_ops, scrub_ops) = counters(sharded.stats());
     assert_eq!(written, flat.bytes_written, "{name}: bytes written");
     assert_eq!(scrubbed, flat.bytes_scrubbed, "{name}: bytes scrubbed");
     assert_eq!(write_ops, flat.write_ops, "{name}: write ops");
     assert_eq!(scrub_ops, flat.scrub_ops, "{name}: scrub ops");
-    assert_eq!(
-        parallel.stats().deterministic_view(),
-        sharded.stats().deterministic_view(),
-        "{name}: parallel stats"
-    );
 }
 
 #[test]
@@ -463,29 +428,6 @@ fn sparse_windows_keep_arena_memory_proportional_to_touched_stripes() {
     }
 }
 
-/// Race-check builds only: the differential sequences drive the bank-parallel
-/// scrub/scrape paths hundreds of times; this asserts the shadow-state
-/// checker actually audited those runs and found zero cross-worker overlaps
-/// (rather than the suite passing because the checker never engaged).
-#[cfg(feature = "race-check")]
-#[test]
-fn race_checker_audits_the_parallel_paths_with_zero_overlaps() {
-    use fpga_msa::dram::racecheck;
-
-    let before = racecheck::stats();
-    run_differential("tiny-ddr4", DramConfig::tiny_for_tests(), 0x7ACE_C4EC, 200);
-    let after = racecheck::stats();
-    assert!(
-        after.ops_checked > before.ops_checked,
-        "parallel ops must pass through the race checker ({before:?} -> {after:?})"
-    );
-    assert!(
-        after.intervals_recorded > before.intervals_recorded,
-        "worker intervals must be recorded ({before:?} -> {after:?})"
-    );
-    assert_eq!(after.overlaps_found, 0, "no cross-worker overlap may exist");
-}
-
 #[test]
 fn rejected_operations_leave_all_stores_untouched() {
     let config = DramConfig::tiny_for_tests();
@@ -496,6 +438,7 @@ fn rejected_operations_leave_all_stores_untouched() {
 
     flat.fill(base, PAGE_SIZE, 0xEE, owner).unwrap();
     sharded.fill(base, PAGE_SIZE, 0xEE, owner).unwrap();
+    let stats_before = *sharded.stats();
 
     // The same invalid requests fail on both stores...
     assert!(flat.fill(base, 0, 0, owner).is_err());
@@ -507,10 +450,6 @@ fn rejected_operations_leave_all_stores_untouched() {
     assert!(sharded.scrub_range(base, u64::MAX).is_err());
     assert!(flat.write_bytes(config.end(), &[1], owner).is_err());
     assert!(sharded.write_bytes(config.end(), &[1], owner).is_err());
-    assert!(matches!(
-        sharded.scrub_banks_parallel(base, PAGE_SIZE, 0),
-        Err(DramError::ZeroWorkers)
-    ));
 
     // ...and nothing moved: contents and counters still agree.
     let mut a = vec![0u8; PAGE_SIZE as usize];
@@ -518,8 +457,9 @@ fn rejected_operations_leave_all_stores_untouched() {
     flat.read_bytes(base, &mut a).unwrap();
     sharded.read_bytes(base, &mut b).unwrap();
     assert_eq!(a, b);
+    assert_eq!(*sharded.stats(), stats_before);
     assert_eq!(
-        sharded.stats().deterministic_view(),
+        counters(sharded.stats()),
         (
             flat.bytes_written,
             flat.bytes_scrubbed,
@@ -527,5 +467,4 @@ fn rejected_operations_leave_all_stores_untouched() {
             flat.scrub_ops
         )
     );
-    assert_eq!(sharded.stats().parallel_scrub_ops(), 0);
 }

@@ -9,13 +9,12 @@
 //!    bitwise subsets of earlier reads.
 //! 2. **Scoped** — frames held by a live owner are returned raw at every
 //!    tick, under every model.
-//! 3. **Fan-out independent** — a decayed scrape is byte-identical between
-//!    the sequential read path and `scrape_banks_parallel` at every worker
-//!    count (per-shard decay is a pure per-cell function).
-//! 4. **Fusion sound** — OR-fusing a multi-snapshot read sequence
+//! 3. **Fusion sound** — OR-fusing a multi-snapshot read sequence
 //!    ([`fpga_msa::msa::analysis::reconstruct::fuse_snapshots`]) is a
 //!    bitwise superset of every single snapshot and a bitwise subset of the
-//!    raw residue: fusion can only undo decay, never invent bytes.
+//!    raw residue: fusion can only undo decay, never invent bytes.  When
+//!    nothing writes into the read range between snapshots, the fused dump
+//!    equals the first snapshot.
 //!
 //! These are the device-level guarantees the campaign determinism suite
 //! builds on when it sweeps the remanence axis across pool workers.
@@ -131,45 +130,15 @@ proptest! {
         prop_assert_eq!(dram.read_u8(base).unwrap(), 0x3C);
     }
 
-    /// Decayed scrapes are byte-identical between the sequential path and
-    /// the bank-striped parallel path, across worker counts — including
-    /// reads that start and end mid-frame and mid-stripe.
-    #[test]
-    fn decayed_scrapes_match_across_worker_counts(
-        selector in any::<u8>(),
-        parameter in any::<u64>(),
-        seed in any::<u64>(),
-        ticks in 1u64..40,
-        offset in 0u64..4096,
-        len in 1usize..(5 * PAGE_SIZE as usize),
-    ) {
-        let model = model_from(selector, parameter);
-        let (mut dram, _) = decaying_board(model, seed, 5);
-        dram.advance_remanence(ticks);
-        let addr = dram.config().base() + offset;
-
-        let mut sequential = vec![0u8; len];
-        dram.read_bytes(addr, &mut sequential).unwrap();
-        for workers in [1usize, 2, 3, 4, 8] {
-            let mut striped = vec![0u8; len];
-            dram.scrape_banks_parallel(addr, &mut striped, workers).unwrap();
-            prop_assert_eq!(
-                &sequential,
-                &striped,
-                "decayed scrape diverged: {} workers={}",
-                model,
-                workers
-            );
-        }
-    }
-
     /// Fusing an N-snapshot read sequence is sound: every fused byte is a
     /// bitwise superset of each individual snapshot (fusion never loses a
     /// bit any read captured) and a bitwise subset of the raw residue
     /// (fusion never invents a bit the victim never wrote).  With monotone
     /// decay the fusion collapses to the earliest snapshot exactly — the
     /// fact that lets immutable scrape paths degenerate
-    /// `ScrapeMode::MultiSnapshot` to a single read.
+    /// `ScrapeMode::MultiSnapshot` to a single read.  Live traffic outside
+    /// the read range (the neighbour owner rewriting its own frame between
+    /// snapshots) does not change that.
     #[test]
     fn snapshot_fusion_is_a_superset_of_reads_and_subset_of_raw(
         selector in any::<u8>(),
@@ -191,6 +160,7 @@ proptest! {
         for i in 0..snapshots {
             if i > 0 {
                 dram.advance_remanence(1);
+                dram.fill(base + residue_len, PAGE_SIZE, i as u8, LIVE).unwrap();
             }
             let mut buf = vec![0u8; residue_len as usize];
             dram.read_bytes(base, &mut buf).unwrap();
@@ -207,54 +177,9 @@ proptest! {
         for (j, (f, r)) in fused.iter().zip(&raw).enumerate() {
             prop_assert_eq!(f & r, *f, "fused byte {} exceeds the raw residue", j);
         }
-        // Decay is monotone, so the OR of the sequence is its earliest read.
+        // Nothing wrote into the read range between snapshots and decay is
+        // monotone, so the OR of the sequence is its earliest read.
         prop_assert_eq!(&fused, &reads[0]);
-    }
-
-    /// A fused multi-snapshot scrape is byte-identical whether each
-    /// snapshot was read sequentially or bank-striped, at every worker
-    /// count — the device-level guarantee behind the campaign's
-    /// `--jobs`-independent reconstruction golden.
-    #[test]
-    fn snapshot_fusion_is_deterministic_across_worker_counts(
-        selector in any::<u8>(),
-        parameter in any::<u64>(),
-        seed in any::<u64>(),
-        start_tick in 1u64..24,
-    ) {
-        let model = model_from(selector, parameter);
-        let (mut dram, residue_len) = decaying_board(model, seed, 5);
-        let len = residue_len as usize;
-        let base = dram.config().base();
-        dram.advance_remanence(start_tick);
-
-        const WORKERS: [usize; 4] = [1, 2, 4, 8];
-        let mut sequential = Vec::new();
-        let mut striped: Vec<Vec<Vec<u8>>> = vec![Vec::new(); WORKERS.len()];
-        for i in 0..3 {
-            if i > 0 {
-                dram.advance_remanence(1);
-            }
-            let mut buf = vec![0u8; len];
-            dram.read_bytes(base, &mut buf).unwrap();
-            sequential.push(buf);
-            for (snapshots, workers) in striped.iter_mut().zip(WORKERS) {
-                let mut buf = vec![0u8; len];
-                dram.scrape_banks_parallel(base, &mut buf, workers).unwrap();
-                snapshots.push(buf);
-            }
-        }
-
-        let fused = fuse_snapshots(&sequential);
-        for (snapshots, workers) in striped.iter().zip(WORKERS) {
-            prop_assert_eq!(
-                &fused,
-                &fuse_snapshots(snapshots),
-                "fused scrape diverged: {} workers={}",
-                model,
-                workers
-            );
-        }
     }
 
     /// The perfect model is bit-exact with a device that has no remanence
