@@ -5,10 +5,6 @@
 //! by searching for `5555 5555` in a profiling run.  This module provides the
 //! run-length scanner behind both steps.
 
-// Lint audit: indexes and slice bounds here are established by the
-// surrounding length checks / loop invariants before use.
-#![allow(clippy::indexing_slicing)]
-
 use std::ops::ControlFlow;
 
 use zynq_dram::ScrapeView;
@@ -64,12 +60,13 @@ fn for_each_run(
     visit: &mut impl FnMut(MarkerRun) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     let pattern = marker.to_le_bytes();
-    if pattern.iter().all(|&b| b == pattern[0]) {
+    let [first, ..] = pattern;
+    if pattern.iter().all(|&b| b == first) {
         // Runs of a repeated byte are not word-quantized in the dump, so the
         // word-based scan below would miss a maximal run of 1–3 bytes even at
         // `min_len < 4`.  Scan byte-wise over the segments instead; maximal
         // runs of >= 4 bytes come out identical to the word scan.
-        return uniform_byte_runs(view, pattern[0], min_len, visit);
+        return uniform_byte_runs(view, first, min_len, visit);
     }
     let len = view.len();
     let mut i = 0usize;
@@ -117,26 +114,17 @@ fn uniform_byte_runs(
     for segment in view.segments() {
         // Skip to the byte that opens a run, then to the byte that closes
         // it; a run still open at the segment end carries into the next.
-        let mut i = 0usize;
-        while i < segment.len() {
-            let rest = &segment[i..];
-            match run_start {
-                None => match rest.iter().position(|&b| b == value) {
-                    Some(skip) => {
-                        i += skip;
-                        run_start = Some(base + i);
-                    }
-                    None => break,
-                },
-                Some(start) => match rest.iter().position(|&b| b != value) {
-                    Some(skip) => {
-                        i += skip;
-                        run_start = None;
-                        flush(start, base + i)?;
-                    }
-                    None => break,
-                },
+        let mut rest = segment;
+        while !rest.is_empty() {
+            let Some(skip) = find_byte(rest, value, run_start.is_none()) else {
+                break;
+            };
+            let at = base + (segment.len() - rest.len()) + skip;
+            match run_start.take() {
+                None => run_start = Some(at),
+                Some(start) => flush(start, at)?,
             }
+            rest = rest.get(skip..).unwrap_or_default();
         }
         base += segment.len();
     }
@@ -144,6 +132,42 @@ fn uniform_byte_runs(
         Some(start) => flush(start, base),
         None => ControlFlow::Continue(()),
     }
+}
+
+/// Index of the first byte of `bytes` that equals `value` (`equal`) or
+/// differs from it (`!equal`).
+///
+/// Compares 8-byte little-endian words against `value` splatted to a word
+/// and goes byte by byte only in the tail: a differing byte is the lowest
+/// non-zero byte of `word ^ splat`, an equal byte its lowest zero byte.  The
+/// zero-byte test `(x - 0x01…01) & !x & 0x80…80` can flag a byte above a
+/// true zero (borrow), never below one, so its lowest flag is exact.
+fn find_byte(bytes: &[u8], value: u8, equal: bool) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    let splat = u64::from_le_bytes([value; 8]);
+    let mut words = bytes.chunks_exact(8);
+    let mut base = 0usize;
+    for word in &mut words {
+        let Ok(word) = <[u8; 8]>::try_from(word) else {
+            break;
+        };
+        let diff = u64::from_le_bytes(word) ^ splat;
+        let flags = if equal {
+            diff.wrapping_sub(ONES) & !diff & HIGHS
+        } else {
+            diff
+        };
+        if flags != 0 {
+            return Some(base + flags.trailing_zeros() as usize / 8);
+        }
+        base += 8;
+    }
+    words
+        .remainder()
+        .iter()
+        .position(|&b| (b == value) == equal)
+        .map(|i| base + i)
 }
 
 /// The first marker run of at least `min_len` bytes, if any.
@@ -166,8 +190,10 @@ pub fn marker_bytes(dump: &MemoryDump, marker: u32) -> u64 {
 }
 
 #[cfg(test)]
+#[allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use zynq_dram::PhysAddr;
     use zynq_mmu::VirtAddr;
 
@@ -309,5 +335,65 @@ mod tests {
         let runs = marker_runs(&dump, marker, 4);
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].len, 12);
+    }
+
+    /// Byte-at-a-time reference for the uniform-byte scan.
+    fn naive_uniform_runs(bytes: &[u8], value: u8, min_len: u64) -> Vec<MarkerRun> {
+        let mut runs = Vec::new();
+        let mut i = 0;
+        while i < bytes.len() {
+            if bytes[i] == value {
+                let start = i;
+                while i < bytes.len() && bytes[i] == value {
+                    i += 1;
+                }
+                let len = (i - start) as u64;
+                if len >= min_len {
+                    runs.push(MarkerRun {
+                        offset: start as u64,
+                        len,
+                    });
+                }
+            } else {
+                i += 1;
+            }
+        }
+        runs
+    }
+
+    proptest! {
+        /// The word-wise scan finds exactly the runs a byte-by-byte scan
+        /// finds, and never panics, on arbitrary bytes under arbitrary
+        /// segmentation: any head length, then chunks of any unit down to
+        /// one byte, with runs straddling the seams.
+        #[test]
+        fn prop_word_scan_matches_byte_scan_on_any_segmentation(
+            bytes in proptest::collection::vec(
+                // Mostly marker bytes, so runs of every length show up.
+                (0u16..700).prop_map(|v| match v {
+                    0..=255 => v as u8,
+                    256..=399 => 0xFF,
+                    400..=549 => 0x55,
+                    _ => 0,
+                }),
+                0..300,
+            ),
+            head in any::<usize>(),
+            unit_shift in 0u32..7,
+            min_len in 1u64..12,
+        ) {
+            let (head, tail) = bytes.split_at(head % (bytes.len() + 1));
+            let mut view = ScrapeView::with_unit(1 << unit_shift);
+            view.set_head(head);
+            for chunk in tail.chunks(1 << unit_shift) {
+                view.push_chunk(chunk);
+            }
+            for (marker, value) in [(CORRUPTED_MARKER, 0xFF), (SENTINEL_MARKER, 0x55)] {
+                prop_assert_eq!(
+                    marker_runs_view(&view, marker, min_len),
+                    naive_uniform_runs(&bytes, value, min_len)
+                );
+            }
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Decay-tolerant reconstruction: recovering signal a single exact-matching
 //! pass writes off.
 //!
-//! PR 5's remanence axis ([`zynq_dram::RemanenceModel`]) degrades residue by
+//! The remanence axis ([`zynq_dram::RemanenceModel`]) degrades residue by
 //! clearing bits — whole bytes under `Exponential`, individual bits under
 //! `BitFlip` — and the exact-matching analysis loses the victim the moment a
 //! single signature byte or image row is touched.  The paper's attacker (and
@@ -9,25 +9,27 @@
 //! reads.  This module implements that accumulation as three cooperating
 //! recoverers:
 //!
-//! 1. **Snapshot fusion** ([`fuse_snapshots`], [`vote_snapshots`]): the same
-//!    physical range is scraped N times across revival windows and fused
-//!    per bit.  Decay only ever *clears* bits, so OR-fusion is sound — a set
-//!    bit in any snapshot was a set bit in the raw residue — and per-bit
-//!    voting bounds false positives if a channel model ever sets bits.
+//! 1. **Snapshot fusion** ([`fuse_snapshots`]): the same physical range is
+//!    scraped N times across revival windows and OR-fused per bit.  Decay
+//!    only ever *clears* bits, so the fusion is sound — a set bit in any
+//!    snapshot was a set bit in the raw residue.
 //! 2. **Fuzzy model identification** ([`fuzzy_identify_view`]): signature
 //!    strings are scored by bit-level consistency instead of exact equality,
 //!    so [`crate::SignatureDb`] still names the model after decay has clipped
-//!    bits out of the library-path strings.  The match distance is threaded
-//!    into [`ModelMatch::fuzzy_distance`].
+//!    bits out of the library-path strings.  Every pattern of the database is
+//!    compiled once, next to its exact-match automaton, into one
+//!    bit-parallel Shift-And automaton (Baeza-Yates–Gonnet, the `agrep`
+//!    automaton): a single pass over the view's segments, carrying its state
+//!    across every seam, finds the windows consistent with some pattern, and
+//!    only those are scored.  The match distance is threaded into
+//!    [`ModelMatch::fuzzy_distance`].
 //! 3. **Entropy-guided image repair** ([`entropy_image_offset`],
 //!    [`repair_image`]): entropy region classes locate the image run when
 //!    neither profile nor marker offset survives, and flipped pixels are
-//!    interpolated from their neighbors before `recovery_rate` scoring.
-
-// Lint audit: address arithmetic here is bounds-checked against the
-// DRAM window before any narrowing cast or direct index; offsets are
-// derived from validated window-relative coordinates.
-#![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
+//!    interpolated from their neighbors before `recovery_rate` scoring.  The
+//!    repair iterates to a fixpoint over a dirty set: after one full pass,
+//!    only bytes that changed and their same-channel neighbors are
+//!    revisited.
 
 use vitis_ai_sim::Image;
 use zynq_dram::ScrapeView;
@@ -68,37 +70,6 @@ pub fn fuse_snapshots(snapshots: &[Vec<u8>]) -> Vec<u8> {
     fused
 }
 
-/// Per-bit majority vote across N snapshots: a bit is set in the result when
-/// it is set in at least `quorum` snapshots.
-///
-/// `quorum == 1` degenerates to [`fuse_snapshots`] (OR).  Against a channel
-/// that could also *set* bits spuriously, a higher quorum bounds the false
-/// positive rate at the cost of dropping late-decaying true bits.
-///
-/// # Panics
-///
-/// Panics if `quorum` is zero (a zero quorum would set every bit).
-pub fn vote_snapshots(snapshots: &[Vec<u8>], quorum: usize) -> Vec<u8> {
-    assert!(quorum > 0, "vote quorum must be non-zero");
-    let len = snapshots.iter().map(Vec::len).max().unwrap_or(0);
-    let mut voted = vec![0u8; len];
-    for (i, out) in voted.iter_mut().enumerate() {
-        let mut counts = [0usize; 8];
-        for snapshot in snapshots {
-            let byte = snapshot.get(i).copied().unwrap_or(0);
-            for (bit, count) in counts.iter_mut().enumerate() {
-                *count += usize::from(byte >> bit & 1);
-            }
-        }
-        for (bit, count) in counts.iter().enumerate() {
-            if *count >= quorum {
-                *out |= 1 << bit;
-            }
-        }
-    }
-    voted
-}
-
 /// Scores `pattern` against every window of `bytes` with decay-aware
 /// consistency, returning the best (smallest) match distance found.
 ///
@@ -109,36 +80,13 @@ pub fn vote_snapshots(snapshots: &[Vec<u8>], quorum: usize) -> Vec<u8> {
 /// non-zero pattern bytes fully intact, and retains at least
 /// [`MIN_BIT_EVIDENCE`] of the pattern's set bits.  The distance is the
 /// fraction of pattern bits missing from the window (0.0 = exact match).
+///
+/// This is the one-pattern case of the scan [`fuzzy_identify_view`] runs.
 pub fn fuzzy_scan(bytes: &[u8], pattern: &[u8]) -> Option<f64> {
-    if pattern.is_empty() || bytes.len() < pattern.len() {
-        return None;
-    }
-    let total_bits: u32 = pattern.iter().map(|p| p.count_ones()).sum();
-    if total_bits == 0 {
-        return None;
-    }
-    // Sliding count of non-zero window bytes: windows with fewer non-zero
-    // bytes than the exact-byte floor cannot qualify, and skipping them keeps
-    // the scan O(n) over the zero pages that dominate a scraped heap.
-    let mut nonzero_in_window = bytes[..pattern.len()].iter().filter(|&&b| b != 0).count();
-    let mut best: Option<f64> = None;
-    for start in 0..=bytes.len() - pattern.len() {
-        if start > 0 {
-            nonzero_in_window += usize::from(bytes[start + pattern.len() - 1] != 0);
-        }
-        if nonzero_in_window >= MIN_EXACT_BYTES {
-            if let Some(distance) = score_window(&bytes[start..start + pattern.len()], pattern) {
-                if best.is_none_or(|b| distance < b) {
-                    best = Some(distance);
-                }
-                if distance == 0.0 {
-                    return best;
-                }
-            }
-        }
-        nonzero_in_window -= usize::from(bytes[start] != 0);
-    }
-    best
+    ShiftAnd::new([pattern])
+        .best_distances(&ScrapeView::from_slice(bytes))
+        .pop()
+        .flatten()
 }
 
 /// One window's decay-aware score against the pattern (see [`fuzzy_scan`]).
@@ -163,32 +111,231 @@ fn score_window(window: &[u8], pattern: &[u8]) -> Option<f64> {
     Some(1.0 - evidence)
 }
 
-/// Decay-tolerant model identification: scores every signature in `db`
-/// against the dump with [`fuzzy_scan`] and returns the best match, if any
-/// pattern still carries enough bit evidence.
+/// A set of patterns compiled into one bit-parallel Shift-And automaton
+/// (Baeza-Yates–Gonnet) for the decay-aware consistency test of
+/// [`fuzzy_scan`].
 ///
-/// The returned match reports how many patterns matched fuzzily (`hits`) and
-/// the mean match distance across them ([`ModelMatch::fuzzy_distance`],
-/// `Some(0.0)` when the surviving fragments were exact).  Ties are broken
-/// toward the smaller distance.
-pub fn fuzzy_identify_view(view: &ScrapeView<'_>, db: &SignatureDb) -> Option<ModelMatch> {
-    let owned;
-    let bytes: &[u8] = match view.try_borrow(0, view.len()) {
-        Some(slice) => slice,
-        None => {
-            owned = view.to_vec();
-            &owned
+/// The patterns are packed end to end into a state of `words` `u64` words:
+/// byte `j` of a pattern is one bit, and the shift carries from word to
+/// word.  Bit `j` of `B[w]` is set when byte `w` is a bitwise subset of
+/// pattern byte `j` (`w & !p_j == 0`), so after the update
+/// `D = ((D << 1) | starts) & B[w]` bit `j` says "the last `j + 1` bytes are
+/// consistent with the pattern's first `j + 1`".  A pattern's last bit
+/// marks a consistent window; only those windows (with at least
+/// [`MIN_EXACT_BYTES`] non-zero bytes) reach [`score_window`].  Empty and
+/// all-zero patterns are not packed: they never match.
+#[derive(Clone)]
+pub(crate) struct ShiftAnd {
+    /// The patterns as given, indexed like [`ShiftAnd::best_distances`].
+    patterns: Vec<Box<[u8]>>,
+    /// State words; zero when no pattern is packed.
+    words: usize,
+    /// `table[w * words..(w + 1) * words]` is `B[w]`.
+    table: Vec<u64>,
+    /// The bit of each packed pattern's first byte.
+    starts: Vec<u64>,
+    /// The bit of each packed pattern's last byte.
+    ends: Vec<u64>,
+    /// Per state bit: the pattern whose last byte it is.
+    owner: Vec<usize>,
+    /// Length of the longest packed pattern.
+    longest: usize,
+}
+
+impl ShiftAnd {
+    /// Packs `patterns` and builds the 256-entry byte table.
+    pub(crate) fn new<P: AsRef<[u8]>>(patterns: impl IntoIterator<Item = P>) -> ShiftAnd {
+        let patterns: Vec<Box<[u8]>> = patterns.into_iter().map(|p| p.as_ref().into()).collect();
+        let packed = |p: &[u8]| p.iter().any(|&b| b != 0);
+        let bits: usize = patterns.iter().filter(|p| packed(p)).map(|p| p.len()).sum();
+        let words = bits.div_ceil(64);
+        let mut table = vec![0u64; 256 * words];
+        let mut starts = vec![0u64; words];
+        let mut ends = vec![0u64; words];
+        let mut owner = vec![usize::MAX; words * 64];
+        let set = |mask: &mut [u64], bit: usize| {
+            if let Some(word) = mask.get_mut(bit / 64) {
+                *word |= 1 << (bit % 64);
+            }
+        };
+        let mut first = 0usize;
+        let mut longest = 0usize;
+        for (index, pattern) in patterns.iter().enumerate() {
+            if !packed(pattern) {
+                continue;
+            }
+            longest = longest.max(pattern.len());
+            set(&mut starts, first);
+            let last = first + pattern.len() - 1;
+            set(&mut ends, last);
+            if let Some(slot) = owner.get_mut(last) {
+                *slot = index;
+            }
+            for (j, &p) in pattern.iter().enumerate() {
+                // The bytes consistent with `p` are exactly its bit subsets;
+                // walk them from `p` down to zero.
+                let mut w = p;
+                loop {
+                    set(&mut table, usize::from(w) * words * 64 + first + j);
+                    if w == 0 {
+                        break;
+                    }
+                    w = (w - 1) & p;
+                }
+            }
+            first = last + 1;
         }
-    };
+        ShiftAnd {
+            patterns,
+            words,
+            table,
+            starts,
+            ends,
+            owner,
+            longest,
+        }
+    }
+
+    /// The best (smallest) [`fuzzy_scan`] distance of every pattern over
+    /// `view`, in one pass: entry `i` is pattern `i`'s, `None` when no
+    /// window qualifies.
+    ///
+    /// The walk visits the view's segments in offset order and carries the
+    /// automaton state, and the positions of the last [`MIN_EXACT_BYTES`]
+    /// non-zero bytes, across every seam.  Once a zero run is as long as the
+    /// longest pattern, the state is saturated and no window ending in the
+    /// run holds a non-zero byte, so the rest of the run is skipped.
+    pub(crate) fn best_distances(&self, view: &ScrapeView<'_>) -> Vec<Option<f64>> {
+        let mut best: Vec<Option<f64>> = vec![None; self.patterns.len()];
+        if self.words == 0 {
+            return best;
+        }
+        let mut state = vec![0u64; self.words];
+        // Global offsets + 1 of the last non-zero bytes (0 = none yet);
+        // `recent[next]` is the oldest of them.
+        let mut recent = [0usize; MIN_EXACT_BYTES];
+        let mut next = 0usize;
+        let mut zeros = 0usize;
+        let mut pos = 0usize;
+        let mut window = Vec::new();
+        for segment in view.segments() {
+            let mut bytes = segment.iter();
+            while let Some(&byte) = bytes.next() {
+                let row = self
+                    .table
+                    .chunks_exact(self.words)
+                    .nth(usize::from(byte))
+                    .unwrap_or_default();
+                let mut carry = 0u64;
+                let mut fired = 0u64;
+                for (((d, &b), &start), &end) in
+                    state.iter_mut().zip(row).zip(&self.starts).zip(&self.ends)
+                {
+                    let shifted = (*d << 1) | carry | start;
+                    carry = *d >> 63;
+                    *d = shifted & b;
+                    fired |= *d & end;
+                }
+                if byte == 0 {
+                    zeros += 1;
+                } else {
+                    zeros = 0;
+                    if let Some(slot) = recent.get_mut(next) {
+                        *slot = pos + 1;
+                    }
+                    next = (next + 1) % MIN_EXACT_BYTES;
+                }
+                // A window of length `m` ending here holds at least
+                // `MIN_EXACT_BYTES` non-zero bytes iff `m >= need`.
+                let oldest = recent.get(next).copied().unwrap_or(0);
+                let need = pos + 2 - oldest;
+                if fired != 0 && oldest != 0 && need <= self.longest {
+                    self.score_ends(view, pos, need, &state, &mut best, &mut window);
+                }
+                pos += 1;
+                if zeros >= self.longest {
+                    let rest = bytes.as_slice();
+                    let skip = rest.iter().position(|&b| b != 0).unwrap_or(rest.len());
+                    bytes = rest.get(skip..).unwrap_or_default().iter();
+                    pos += skip;
+                    zeros += skip;
+                }
+            }
+        }
+        best
+    }
+
+    /// Scores every pattern whose consistent window ends at `pos` and is at
+    /// least `need` bytes long, folding the distances into `best`.
+    fn score_ends(
+        &self,
+        view: &ScrapeView<'_>,
+        pos: usize,
+        need: usize,
+        state: &[u64],
+        best: &mut [Option<f64>],
+        window: &mut Vec<u8>,
+    ) {
+        for (w, (&d, &end)) in state.iter().zip(&self.ends).enumerate() {
+            let mut fired = d & end;
+            while fired != 0 {
+                let bit = w * 64 + fired.trailing_zeros() as usize;
+                fired &= fired - 1;
+                let Some(&index) = self.owner.get(bit) else {
+                    continue;
+                };
+                let (Some(pattern), Some(slot)) = (self.patterns.get(index), best.get_mut(index))
+                else {
+                    continue;
+                };
+                if pattern.len() < need || *slot == Some(0.0) {
+                    continue;
+                }
+                let start = pos + 1 - pattern.len();
+                let bytes = match view.try_borrow(start, pattern.len()) {
+                    Some(bytes) => bytes,
+                    None => {
+                        window.resize(pattern.len(), 0);
+                        view.copy_into(start, window);
+                        window.as_slice()
+                    }
+                };
+                if let Some(distance) = score_window(bytes, pattern) {
+                    if slot.is_none_or(|b| distance < b) {
+                        *slot = Some(distance);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The tables are a function of the patterns; print the patterns only.
+impl std::fmt::Debug for ShiftAnd {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ShiftAnd")
+            .field("patterns", &self.patterns.len())
+            .field("words", &self.words)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Decay-tolerant model identification: scores every signature in `db`
+/// against the view with the [`fuzzy_scan`] test and returns the best match,
+/// if any pattern still carries enough bit evidence.
+///
+/// One Shift-And pass over the view scores every pattern of the database
+/// (see the module docs).  The returned match reports how many patterns
+/// matched fuzzily (`hits`) and the mean match distance across them
+/// ([`ModelMatch::fuzzy_distance`], `Some(0.0)` when the surviving fragments
+/// were exact).  Ties are broken toward the smaller distance.
+pub fn fuzzy_identify_view(view: &ScrapeView<'_>, db: &SignatureDb) -> Option<ModelMatch> {
+    let mut best = db.fuzzy_automaton().best_distances(view).into_iter();
     let mut matches: Vec<ModelMatch> = db
         .signatures()
         .iter()
         .filter_map(|sig| {
-            let distances: Vec<f64> = sig
-                .patterns
-                .iter()
-                .filter_map(|pattern| fuzzy_scan(bytes, pattern.as_bytes()))
-                .collect();
+            let distances: Vec<f64> = best.by_ref().take(sig.patterns.len()).flatten().collect();
             if distances.is_empty() {
                 return None;
             }
@@ -264,83 +411,230 @@ pub fn entropy_image_offset(view: &ScrapeView<'_>, image_len: usize) -> Option<u
 ///   consensus of its non-zero neighbors only when it is a bitwise subset of
 ///   that consensus — i.e. only bits that decay could have cleared are ever
 ///   re-set, never bits the neighbors disagree on.
+///
+/// Every pass reads the previous pass's pixels (Jacobi order).  A byte's
+/// repair is a function of its own and its same-channel 4-neighbors'
+/// values, and a repair always changes the byte, so a byte none of whose
+/// inputs changed in pass `k` is left alone by pass `k + 1`.  The first
+/// pass therefore visits every byte and each later pass only the bytes that
+/// changed in the pass before and their neighbors, tracked in `u64`
+/// bitmaps; the result is the same as revisiting the whole image.
 pub fn repair_image(image: &Image) -> Image {
     let width = image.width() as usize;
     let height = image.height() as usize;
-    let mut pixels = image.as_bytes().to_vec();
     if width == 0 || height == 0 {
         return image.clone();
     }
+    let stride = width * 3;
+    // `previous` holds pass k's pixels and `pixels` receives pass k + 1's;
+    // after each pass the bytes that changed are copied back.
+    let mut previous = image.as_bytes().to_vec();
+    let mut pixels = previous.clone();
+    let words = pixels.len().div_ceil(64);
+    let mut visit = vec![u64::MAX; words];
+    let mut changed = vec![0u64; words];
     for _ in 0..MAX_REPAIR_PASSES {
-        let previous = pixels.clone();
-        for y in 0..height {
-            for x in 0..width {
-                for channel in 0..3 {
-                    let at = |x: usize, y: usize| previous[(y * width + x) * 3 + channel];
-                    let mut neighbors = [0u8; 4];
-                    let mut count = 0usize;
-                    if x > 0 {
-                        neighbors[count] = at(x - 1, y);
-                        count += 1;
+        if !repair_pass(&previous, &mut pixels, stride, &visit, &mut changed) {
+            break;
+        }
+        for_each_bit(&changed, |i| {
+            if let (Some(old), Some(&new)) = (previous.get_mut(i), pixels.get(i)) {
+                *old = new;
+            }
+        });
+        visit.copy_from_slice(&changed);
+        for shift in [3, stride] {
+            or_shifted_up(&mut visit, &changed, shift);
+            or_shifted_down(&mut visit, &changed, shift);
+        }
+        changed.fill(0);
+    }
+    Image::from_raw(image.width(), image.height(), pixels)
+}
+
+/// One Jacobi pass over the `stride`-byte rows of `previous`: repairs the
+/// bytes set in `visit` into `pixels` and marks the ones it changed in
+/// `changed`; `true` when any did.
+///
+/// Each row is walked one little-endian word (eight bytes) at a time; the
+/// same-channel left and right neighbors are the row's bytes three to
+/// either side, so their words are the row word shifted by three bytes.  A
+/// byte can only be repaired when some neighbor has a bit the byte lacks
+/// (see [`repair_byte`]), so one word-wide test picks the candidates, and
+/// only those are decided byte by byte.
+fn repair_pass(
+    previous: &[u8],
+    pixels: &mut [u8],
+    stride: usize,
+    visit: &[u64],
+    changed: &mut [u64],
+) -> bool {
+    let mut any = false;
+    let mut row_start = 0usize;
+    for row in previous.chunks_exact(stride) {
+        let up = row_start
+            .checked_sub(stride)
+            .and_then(|start| previous.get(start..row_start));
+        let down = previous.get(row_start + stride..row_start + 2 * stride);
+        // Neighbors past a row's ends or above the first and below the last
+        // row read as zero, which is how a zero (erased) neighbor votes: not
+        // at all.
+        let mut before = 0u64;
+        let mut own = word_at(row, 0);
+        for k in (0..stride).step_by(8) {
+            let after = word_at(row, k + 8);
+            let i = row_start + k;
+            let visiting = bits_at(visit, i, (stride - k).min(8));
+            if visiting != 0 {
+                let left = (own << 24) | (before >> 40);
+                let right = (own >> 24) | (after << 40);
+                let above = up.map_or(0, |up| word_at(up, k));
+                let below = down.map_or(0, |down| word_at(down, k));
+                let mut candidates = nonzero_bytes((left | right | above | below) & !own);
+                while candidates != 0 {
+                    let lane = candidates.trailing_zeros() as usize / 8;
+                    candidates &= candidates - 1;
+                    if visiting >> lane & 1 == 0 {
+                        continue;
                     }
-                    if x + 1 < width {
-                        neighbors[count] = at(x + 1, y);
-                        count += 1;
-                    }
-                    if y > 0 {
-                        neighbors[count] = at(x, y - 1);
-                        count += 1;
-                    }
-                    if y + 1 < height {
-                        neighbors[count] = at(x, y + 1);
-                        count += 1;
-                    }
-                    let own = at(x, y);
-                    if let Some(repaired) = repair_byte(own, &neighbors[..count]) {
-                        pixels[(y * width + x) * 3 + channel] = repaired;
+                    let byte = |word: u64| word.to_le_bytes().get(lane).copied().unwrap_or(0);
+                    let neighbors = [byte(left), byte(right), byte(above), byte(below)];
+                    if let Some(repaired) = repair_byte(byte(own), neighbors) {
+                        if let Some(out) = pixels.get_mut(i + lane) {
+                            *out = repaired;
+                            set_bit(changed, i + lane);
+                            any = true;
+                        }
                     }
                 }
             }
+            before = own;
+            own = after;
         }
-        if pixels == previous {
-            break;
-        }
+        row_start += stride;
     }
-    Image::reconstruct(image.width(), image.height(), &pixels).expect("repair preserves dimensions")
+    any
 }
 
-/// One channel byte's repair decision (see [`repair_image`]).
-fn repair_byte(own: u8, neighbors: &[u8]) -> Option<u8> {
-    let nonzero: Vec<u8> = neighbors.iter().copied().filter(|&n| n != 0).collect();
-    if nonzero.len() < 2 {
-        return None;
+/// Up to eight bytes of `bytes` from `start` as a little-endian word, zero
+/// past the end.
+fn word_at(bytes: &[u8], start: usize) -> u64 {
+    if let Some(word) = bytes
+        .get(start..start + 8)
+        .and_then(|w| <[u8; 8]>::try_from(w).ok())
+    {
+        return u64::from_le_bytes(word);
     }
+    bytes
+        .get(start..)
+        .unwrap_or_default()
+        .iter()
+        .take(8)
+        .enumerate()
+        .fold(0, |word, (lane, &b)| word | u64::from(b) << (8 * lane))
+}
+
+/// Bits `i..i + lanes` of a bitmap (`lanes <= 8`), as the low bits of a
+/// word.
+fn bits_at(bits: &[u64], i: usize, lanes: usize) -> u64 {
+    let (word, shift) = (i >> 6, i & 63);
+    let low = bits.get(word).copied().unwrap_or(0) >> shift;
+    let high = match shift {
+        0 => 0,
+        _ => bits.get(word + 1).copied().unwrap_or(0) << (64 - shift),
+    };
+    (low | high) & ((1 << lanes) - 1)
+}
+
+/// `0x80` in every byte of `word` that is non-zero, `0` elsewhere.
+fn nonzero_bytes(word: u64) -> u64 {
+    const LOW7: u64 = u64::from_le_bytes([0x7F; 8]);
+    (((word & LOW7) + LOW7) | word) & !LOW7
+}
+
+/// One channel byte's repair decision (see [`repair_image`]), given the
+/// byte and its four neighbors (zero where the neighbor is absent; a zero
+/// neighbor has no vote).
+///
+/// Neither repair can set a bit that no neighbor has: an erased byte takes
+/// a neighbor's value and a clipped byte gains only consensus bits.  So the
+/// answer is `None` whenever `own` already holds every neighbor bit, which
+/// is the test [`repair_pass`] applies word-wide before calling this.
+fn repair_byte(own: u8, neighbors: [u8; 4]) -> Option<u8> {
     if own == 0 {
         // Erased byte: restore only an exact >= 2 neighbor agreement,
-        // breaking ties toward the value with more surviving bits.
-        return nonzero
-            .iter()
-            .map(|&value| {
-                let votes = nonzero.iter().filter(|&&n| n == value).count();
-                (votes, value.count_ones(), value)
-            })
-            .filter(|&(votes, _, _)| votes >= 2)
-            .max()
-            .map(|(_, _, value)| value);
+        // ranked by votes, then surviving bits, then value.
+        let rank = |value: u8| {
+            let votes: u32 = neighbors.iter().map(|&n| u32::from(n == value)).sum();
+            if value != 0 && votes >= 2 {
+                votes << 16 | value.count_ones() << 8 | u32::from(value)
+            } else {
+                0
+            }
+        };
+        let best = neighbors.iter().map(|&n| rank(n)).max().unwrap_or(0);
+        let [value, ..] = best.to_le_bytes();
+        return (best != 0).then_some(value);
     }
-    // Clipped byte: strict-majority bit consensus of the non-zero neighbors,
-    // applied only when `own` could be a decayed form of it.
-    let mut consensus = 0u8;
-    for bit in 0..8 {
-        let votes = nonzero.iter().filter(|&&n| n >> bit & 1 == 1).count();
-        if 2 * votes > nonzero.len() {
-            consensus |= 1 << bit;
-        }
-    }
+    // Clipped byte: strict-majority bit consensus of the non-zero neighbors
+    // — both of two, two of three (`maj3`), three of four — applied only
+    // when `own` could be a decayed form of it.  Zero neighbors carry no
+    // bits, so "at least two of the four" is the majority of two or three.
+    let [a, b, c, d] = neighbors;
+    let consensus = match neighbors.iter().filter(|&&n| n != 0).count() {
+        0 | 1 => return None,
+        4 => (a & b & (c | d)) | (c & d & (a | b)),
+        _ => (a & b) | (c & d) | ((a | b) & (c | d)),
+    };
     (own & !consensus == 0 && own != consensus).then_some(consensus)
 }
 
+/// Sets bit `i` of a bitmap.
+fn set_bit(bits: &mut [u64], i: usize) {
+    if let Some(word) = bits.get_mut(i / 64) {
+        *word |= 1 << (i % 64);
+    }
+}
+
+/// Calls `f` with the index of every set bit, in increasing order.
+fn for_each_bit(bits: &[u64], mut f: impl FnMut(usize)) {
+    for (w, &word) in bits.iter().enumerate() {
+        let mut word = word;
+        while word != 0 {
+            f(w * 64 + word.trailing_zeros() as usize);
+            word &= word - 1;
+        }
+    }
+}
+
+/// ORs `src` moved `shift` bits toward higher indices into `dst`.
+fn or_shifted_up(dst: &mut [u64], src: &[u64], shift: usize) {
+    let (words, bits) = (shift / 64, shift % 64);
+    for (w, out) in dst.iter_mut().enumerate().skip(words) {
+        let lo = src.get(w - words).copied().unwrap_or(0);
+        let carry = match (bits, (w - words).checked_sub(1)) {
+            (1..=63, Some(below)) => src.get(below).copied().unwrap_or(0) >> (64 - bits),
+            _ => 0,
+        };
+        *out |= (lo << bits) | carry;
+    }
+}
+
+/// ORs `src` moved `shift` bits toward lower indices into `dst`.
+fn or_shifted_down(dst: &mut [u64], src: &[u64], shift: usize) {
+    let (words, bits) = (shift / 64, shift % 64);
+    for (w, out) in dst.iter_mut().enumerate() {
+        let hi = src.get(w + words).copied().unwrap_or(0);
+        let carry = match bits {
+            1..=63 => src.get(w + words + 1).copied().unwrap_or(0) << (64 - bits),
+            _ => 0,
+        };
+        *out |= (hi >> bits) | carry;
+    }
+}
+
 #[cfg(test)]
+#[allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 mod tests {
     use super::*;
     use vitis_ai_sim::ModelKind;
@@ -364,20 +658,6 @@ mod tests {
             }
         }
         assert!(fuse_snapshots(&[]).is_empty());
-    }
-
-    #[test]
-    fn voting_with_quorum_one_is_or_and_higher_quorums_drop_lone_bits() {
-        let snaps = vec![vec![0b0000_1111], vec![0b0000_0111], vec![0b0000_0011]];
-        assert_eq!(vote_snapshots(&snaps, 1), fuse_snapshots(&snaps));
-        assert_eq!(vote_snapshots(&snaps, 2), vec![0b0000_0111]);
-        assert_eq!(vote_snapshots(&snaps, 3), vec![0b0000_0011]);
-    }
-
-    #[test]
-    #[should_panic(expected = "quorum")]
-    fn zero_quorum_is_rejected() {
-        vote_snapshots(&[vec![1]], 0);
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! [`Matcher`] when it is built, so scoring a dump is a single streaming
 //! pass over the scrape view: the automaton walks the view's segments in
 //! order, carries its state across each seam, and reports which patterns
-//! occurred; the per-model hit counts are a fold over that set.
+//! occurred; the per-model hit counts are a fold over that set.  The same
+//! patterns are compiled into the Shift-And automaton of the decay-tolerant
+//! scan ([`crate::analysis::reconstruct::fuzzy_identify_view`]), which walks
+//! views the same way.
 
 // Lint audit: indexes and slice bounds here are established by the
 // surrounding length checks / loop invariants before use.
@@ -21,6 +24,7 @@ use std::sync::{Arc, OnceLock};
 use vitis_ai_sim::ModelKind;
 use zynq_dram::{Matcher, ScrapeView};
 
+use crate::analysis::reconstruct::ShiftAnd;
 use crate::dump::MemoryDump;
 
 /// Signature of one model: byte patterns whose presence indicates the model.
@@ -75,6 +79,8 @@ pub struct SignatureDb {
     /// Every signature's patterns, in signature order, compiled once and
     /// shared by clones.
     matcher: Arc<Matcher>,
+    /// The same patterns compiled for the decay-tolerant scan.
+    fuzzy: Arc<ShiftAnd>,
 }
 
 impl SignatureDb {
@@ -107,18 +113,25 @@ impl SignatureDb {
 
     /// Builds a database from explicit signatures.
     pub fn from_signatures(signatures: Vec<ModelSignature>) -> Self {
-        let matcher = Arc::new(Matcher::new(
-            signatures.iter().flat_map(|sig| &sig.patterns),
-        ));
+        let patterns = || signatures.iter().flat_map(|sig| &sig.patterns);
+        let matcher = Arc::new(Matcher::new(patterns()));
+        let fuzzy = Arc::new(ShiftAnd::new(patterns()));
         SignatureDb {
             signatures,
             matcher,
+            fuzzy,
         }
     }
 
     /// All signatures.
     pub fn signatures(&self) -> &[ModelSignature] {
         &self.signatures
+    }
+
+    /// Every signature's patterns, in signature order, compiled for the
+    /// decay-tolerant scan.
+    pub(crate) fn fuzzy_automaton(&self) -> &ShiftAnd {
+        &self.fuzzy
     }
 
     /// The signature of a specific model, if present.

@@ -37,7 +37,9 @@ use crate::addr::{FrameNumber, PhysAddr, PAGE_SIZE};
 use crate::config::{DdrGeometry, DramConfig};
 use crate::error::DramError;
 use crate::mapping::DdrMapping;
-use crate::remanence::{cell_hash, splitmix64, RemanenceModel, ResidueDecay};
+use crate::remanence::{
+    cell_hash_in_stripe, splitmix64, stripe_hash, RemanenceModel, ResidueDecay,
+};
 use crate::stats::DramStats;
 use crate::swap::SwapStore;
 use crate::view::{zero_chunk, ScrapeView};
@@ -442,12 +444,6 @@ impl Dram {
         self.stripe_bytes
     }
 
-    /// Number of stripes currently materialized in each bank shard, indexed
-    /// by flat bank id (the store-utilization view).
-    pub fn bank_stripe_counts(&self) -> Vec<usize> {
-        self.banks.iter().map(|b| b.present_count).collect()
-    }
-
     /// Total number of materialized bank stripes across all shards.
     pub fn materialized_stripes(&self) -> usize {
         self.banks.iter().map(|b| b.present_count).sum()
@@ -581,17 +577,15 @@ impl Dram {
                 if let Some(&origin) = origin {
                     let curve = self.remanence.curve(now.saturating_sub(origin));
                     if !curve.is_identity() {
-                        let offset_in_stripe = rel % sb;
-                        for (i, byte) in buf[cursor..cursor + chunk].iter_mut().enumerate() {
+                        // The stripe half of the cell hash is the same for
+                        // every byte of the chunk.
+                        let stripe_draw = stripe_hash(self.remanence_seed, stripe);
+                        let first = rel % sb;
+                        let bytes = buf.get_mut(cursor..cursor + chunk).unwrap_or_default();
+                        for (offset, byte) in (first..).zip(bytes) {
                             if *byte != 0 {
-                                *byte = curve.apply(
-                                    *byte,
-                                    cell_hash(
-                                        self.remanence_seed,
-                                        stripe,
-                                        offset_in_stripe + i as u64,
-                                    ),
-                                );
+                                *byte =
+                                    curve.apply(*byte, cell_hash_in_stripe(stripe_draw, offset));
                             }
                         }
                     }
@@ -1225,8 +1219,16 @@ mod tests {
         d.read_bytes(addr, &mut back).unwrap();
         assert_eq!(back, data);
         // The stripes really are distributed over more than one bank shard.
-        let touched: usize = d.bank_stripe_counts().iter().filter(|&&c| c > 0).count();
-        assert!(touched > 1, "expected multiple bank shards, got {touched}");
+        let rel = addr.offset_from(d.config().base());
+        let mut banks: Vec<usize> = (rel / sb..=(rel + data.len() as u64 - 1) / sb)
+            .map(|stripe| d.stripe_bank(stripe))
+            .collect();
+        banks.sort_unstable();
+        banks.dedup();
+        assert!(
+            banks.len() > 1,
+            "expected multiple bank shards, got {banks:?}"
+        );
         assert!(d.materialized_stripes() >= 4);
     }
 
@@ -1671,6 +1673,45 @@ mod tests {
             let mut bytes = [0u8; 4];
             d.read_bytes(addr, &mut bytes).unwrap();
             prop_assert_eq!(bytes, value.to_le_bytes());
+        }
+
+        /// A decayed bulk read is byte-identical to reading each byte on
+        /// its own, and to `cell_hash` applied per byte, whatever range it
+        /// covers: the stripe half of the hash is hoisted per chunk, so
+        /// every chunk start and stripe seam must compose to the same draws.
+        #[test]
+        fn prop_decayed_bulk_read_matches_per_byte_draws(
+            start in 0u64..(3 * PAGE_SIZE),
+            len in 1u64..2048,
+            ticks in 1u64..12,
+            bitflip in any::<bool>(),
+        ) {
+            let model = if bitflip {
+                RemanenceModel::BitFlip { rate_ppm: 200_000 }
+            } else {
+                RemanenceModel::Exponential { half_life_ticks: 3 }
+            };
+            let (mut d, base, _) = decaying_dram(model);
+            d.advance_remanence(ticks);
+            let addr = base + start;
+            let len = len.min(5 * PAGE_SIZE - start);
+            let mut bulk = vec![0u8; len as usize];
+            d.read_bytes(addr, &mut bulk).unwrap();
+            let curve = model.curve(ticks);
+            for (i, &byte) in bulk.iter().enumerate() {
+                let at = addr + i as u64;
+                prop_assert_eq!(d.read_u8(at).unwrap(), byte);
+                let rel = at.offset_from(base);
+                let expected = if rel < 3 * PAGE_SIZE {
+                    let sb = d.stripe_bytes();
+                    curve.apply(0xEE, crate::remanence::cell_hash(0x5EED, rel / sb, rel % sb))
+                } else if rel >= 4 * PAGE_SIZE {
+                    0xAB
+                } else {
+                    0
+                };
+                prop_assert_eq!(byte, expected, "offset {}", rel);
+            }
         }
 
         #[test]

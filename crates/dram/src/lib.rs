@@ -64,7 +64,7 @@ pub use addr::{FrameNumber, PhysAddr, PAGE_SIZE};
 pub use config::DramConfig;
 pub use device::{Dram, OwnerTag};
 pub use error::DramError;
-pub use mapping::{BankChunk, DdrCoordinates, DdrMapping};
+pub use mapping::{DdrCoordinates, DdrMapping};
 pub use remanence::{RemanenceModel, ResidueDecay};
 pub use sanitize::{SanitizeCost, SanitizePolicy, ScrubReport};
 pub use search::Matcher;

@@ -15,13 +15,12 @@
 //! Because the column bits are the *low* bits, every naturally aligned
 //! `row_bytes`-sized block of the window (a **bank stripe**) lives entirely
 //! inside one bank, and consecutive stripes rotate through the bank groups.
-//! [`DdrMapping::split_at_bank_boundaries`] decomposes an arbitrary byte
-//! range into those single-bank chunks — the partition the sharded
-//! [`Dram`](crate::Dram) store is built on.
+//! [`DdrMapping::bank_of_stripe`] routes a stripe to its bank — the
+//! partition the sharded [`Dram`](crate::Dram) store is built on.
 //!
 //! Every entry point rejects out-of-window addresses with the typed
-//! [`DramError::OutsideWindow`] error (decompose and the bulk span/splitting
-//! paths used to disagree: decompose returned `None` while `bank_addresses`
+//! [`DramError::OutsideWindow`] error (decompose and the bulk span paths
+//! used to disagree: decompose returned `None` while `bank_addresses`
 //! happily produced spans past the window end that callers had to filter).
 
 // Lint audit: indexes and slice bounds here are established by the
@@ -61,23 +60,6 @@ impl DdrCoordinates {
     pub fn row_id(&self, geometry: &DdrGeometry) -> u64 {
         (self.bank_id(geometry) << geometry.row_bits) | self.row
     }
-}
-
-/// One single-bank chunk of a byte range split at bank-stripe boundaries.
-///
-/// Produced by [`DdrMapping::split_at_bank_boundaries`]; every byte of
-/// `[addr, addr + len)` belongs to the bank identified by `bank`
-/// (a [`DdrCoordinates::bank_id`] value).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BankChunk {
-    /// Flat bank identifier (rank, bank group, bank).
-    pub bank: u64,
-    /// Global stripe index of the chunk (window offset / stripe bytes).
-    pub stripe: u64,
-    /// First address of the chunk.
-    pub addr: PhysAddr,
-    /// Chunk length in bytes (never crosses a stripe boundary).
-    pub len: u64,
 }
 
 /// Translator between window-relative physical addresses and DDR coordinates.
@@ -141,60 +123,6 @@ impl DdrMapping {
             return Err(DramError::OutsideWindow { addr });
         }
         Ok(self.bank_of_stripe(addr.offset_from(self.config.base()) / self.stripe_bytes()))
-    }
-
-    /// Splits the byte range `[addr, addr + len)` into single-bank chunks at
-    /// bank-stripe boundaries, in address order.
-    ///
-    /// The chunks form a partition: concatenating them reproduces the range
-    /// exactly, and each chunk lies wholly inside the bank it names.  This is
-    /// the partition the sharded store's per-stripe routing follows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DramError::OutsideWindow`] naming the **offending address**
-    /// if any byte of the range falls outside the window — the range start
-    /// when the start itself is outside, otherwise the range's last byte (the
-    /// one that escaped past the window end).  A length that overflows the
-    /// address space is [`DramError::LengthOverflow`], and a zero-length
-    /// range is [`DramError::EmptyRange`].
-    pub fn split_at_bank_boundaries(
-        &self,
-        addr: PhysAddr,
-        len: u64,
-    ) -> Result<Vec<BankChunk>, DramError> {
-        if len == 0 {
-            return Err(DramError::EmptyRange { addr });
-        }
-        let last = addr
-            .checked_add(len - 1)
-            .ok_or(DramError::LengthOverflow { addr, len })?;
-        if !self.config.contains(addr) {
-            return Err(DramError::OutsideWindow { addr });
-        }
-        if !self.config.contains(last) {
-            return Err(DramError::OutsideWindow { addr: last });
-        }
-        let sb = self.stripe_bytes();
-        let base = self.config.base();
-        // The capacity is a hint: fall back to an empty hint rather than
-        // truncate if the chunk-count estimate ever exceeds `usize`.
-        let mut chunks = Vec::with_capacity(usize::try_from(len / sb + 2).unwrap_or(0));
-        let mut cursor = 0u64;
-        while cursor < len {
-            let rel = (addr + cursor).offset_from(base);
-            let stripe = rel / sb;
-            let offset = rel % sb;
-            let chunk = (sb - offset).min(len - cursor);
-            chunks.push(BankChunk {
-                bank: self.bank_of_stripe(stripe),
-                stripe,
-                addr: addr + cursor,
-                len: chunk,
-            });
-            cursor += chunk;
-        }
-        Ok(chunks)
     }
 
     /// Decomposes a physical address into DDR coordinates.
@@ -326,25 +254,10 @@ impl DdrMapping {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::PAGE_SIZE;
     use proptest::prelude::*;
 
     fn mapping() -> DdrMapping {
         DdrMapping::new(DramConfig::zcu104())
-    }
-
-    #[test]
-    fn full_window_split_survives_the_capacity_estimate_boundary() {
-        // Regression for the checked capacity hint: the largest legal range
-        // (the whole window) must plan without wrapping, and the plan must
-        // partition the range exactly.
-        let m = DdrMapping::new(DramConfig::tiny_for_tests());
-        let len = m.config().capacity();
-        let chunks = m.split_at_bank_boundaries(m.config().base(), len).unwrap();
-        let expected = len / m.stripe_bytes();
-        assert_eq!(chunks.len() as u64, expected);
-        assert_eq!(chunks.iter().map(|c| c.len).sum::<u64>(), len);
-        assert_eq!(chunks.first().unwrap().addr, m.config().base());
     }
 
     #[test]
@@ -388,7 +301,6 @@ mod tests {
         assert!(m.bank_stripe_span(last).is_ok());
         assert!(m.bank_addresses(last).is_ok());
         assert!(m.bank_of(last).is_ok());
-        assert!(m.split_at_bank_boundaries(last, 1).is_ok());
 
         let past = m.config().end();
         assert!(matches!(
@@ -410,59 +322,6 @@ mod tests {
         assert!(matches!(
             m.bank_of(past),
             Err(DramError::OutsideWindow { .. })
-        ));
-        // A range whose tail leaves the window is rejected as a whole.
-        assert!(matches!(
-            m.split_at_bank_boundaries(last, 2),
-            Err(DramError::OutsideWindow { .. })
-        ));
-        // A range whose length overflows the address space is rejected too.
-        assert!(m.split_at_bank_boundaries(last, u64::MAX).is_err());
-        assert!(matches!(
-            m.split_at_bank_boundaries(last, 0),
-            Err(DramError::EmptyRange { .. })
-        ));
-    }
-
-    #[test]
-    fn split_reports_the_offending_address_not_just_the_range_start() {
-        // Satellite fix: a range whose *end* escapes the window used to blame
-        // the (perfectly valid) range start.  The error must name the byte
-        // that actually escaped.
-        let m = mapping();
-        let end = m.config().end();
-        let last = end - 1;
-
-        // Start in-window, end one byte past: the offender is the escaped
-        // last byte, not the start.
-        assert!(matches!(
-            m.split_at_bank_boundaries(last, 2),
-            Err(DramError::OutsideWindow { addr }) if addr == end
-        ));
-        // Deeper escape: still the range's last byte.
-        assert!(matches!(
-            m.split_at_bank_boundaries(end - 16, 64),
-            Err(DramError::OutsideWindow { addr }) if addr == end - 16 + 63
-        ));
-        // Start already outside: the start is the offender.
-        assert!(matches!(
-            m.split_at_bank_boundaries(end, 4),
-            Err(DramError::OutsideWindow { addr }) if addr == end
-        ));
-        let below = PhysAddr::new(0x1000);
-        assert!(matches!(
-            m.split_at_bank_boundaries(below, 4),
-            Err(DramError::OutsideWindow { addr }) if addr == below
-        ));
-        // Exact window boundary: the final in-window byte splits fine, and a
-        // range ending exactly at the window end is accepted in full.
-        assert!(m.split_at_bank_boundaries(last, 1).is_ok());
-        let chunks = m.split_at_bank_boundaries(end - 4096, 4096).unwrap();
-        assert_eq!(chunks.iter().map(|c| c.len).sum::<u64>(), 4096);
-        // Length overflow is its own typed error, preserving the length.
-        assert!(matches!(
-            m.split_at_bank_boundaries(last, u64::MAX),
-            Err(DramError::LengthOverflow { len: u64::MAX, .. })
         ));
     }
 
@@ -642,65 +501,6 @@ mod tests {
             }
         }
 
-        /// Splitting a range at bank boundaries re-concatenates losslessly:
-        /// chunks are contiguous, cover the range exactly, stay inside one
-        /// bank each, and every byte lands in exactly one chunk — including
-        /// ranges that straddle bank-group and rank boundaries.
-        #[test]
-        fn prop_bank_split_is_a_lossless_partition(raw in any::<u64>(), span in 1u64..(64 * 1024)) {
-            for cfg in all_board_configs() {
-                let m = DdrMapping::new(cfg);
-                let g = cfg.geometry();
-                let len = span.min(cfg.capacity());
-                let addr = cfg.base() + raw % (cfg.capacity() - len + 1);
-                let chunks = m.split_at_bank_boundaries(addr, len).unwrap();
-
-                // Contiguous, exact cover.
-                let mut cursor = addr;
-                let mut total = 0u64;
-                for chunk in &chunks {
-                    prop_assert_eq!(chunk.addr, cursor, "config {:?}", cfg.board());
-                    prop_assert!(chunk.len > 0);
-                    prop_assert!(chunk.len <= m.stripe_bytes());
-                    // The whole chunk shares one bank id, and it is the bank
-                    // the coordinate decomposition assigns.
-                    let first = m.decompose(chunk.addr).unwrap().bank_id(&g);
-                    let last = m.decompose(chunk.addr + chunk.len - 1).unwrap().bank_id(&g);
-                    prop_assert_eq!(first, chunk.bank);
-                    prop_assert_eq!(last, chunk.bank);
-                    cursor += chunk.len;
-                    total += chunk.len;
-                }
-                prop_assert_eq!(total, len);
-                prop_assert_eq!(cursor, addr + len);
-            }
-        }
-
-        /// A range deliberately straddling the highest interleaving boundary
-        /// (rank, when present, else the top row) still partitions cleanly
-        /// and lands in more than one bank when stripes alternate.
-        #[test]
-        fn prop_split_straddles_bank_group_and_rank_boundaries(span in 2u64..8192) {
-            for cfg in all_board_configs() {
-                let m = DdrMapping::new(cfg);
-                let sb = m.stripe_bytes();
-                // Centre the range on a stripe boundary so it always crosses
-                // at least one bank-group rotation.
-                let len = span.min(cfg.capacity() / 2);
-                let boundary = cfg.base() + (cfg.capacity() / 2);
-                let addr = boundary - (len / 2).min(boundary.offset_from(cfg.base()));
-                let chunks = m.split_at_bank_boundaries(addr, len).unwrap();
-                let total: u64 = chunks.iter().map(|c| c.len).sum();
-                prop_assert_eq!(total, len);
-                if len > sb {
-                    // More than one stripe: the bank rotation must show up.
-                    let mut banks: Vec<u64> = chunks.iter().map(|c| c.bank).collect();
-                    banks.dedup();
-                    prop_assert!(banks.len() > 1, "config {:?}", cfg.board());
-                }
-            }
-        }
-
         #[test]
         fn prop_same_row_shares_row_id(offset in 0u64..(2u64*1024*1024*1024 - 1024), delta in 0u64..1024) {
             let m = mapping();
@@ -740,21 +540,6 @@ mod tests {
             }
         }
 
-        /// Stripes never cross page boundaries mid-frame in a way that could
-        /// split a frame across more banks than stripes: each PAGE_SIZE frame
-        /// decomposes into contiguous single-bank chunks of stripe size.
-        #[test]
-        fn prop_frame_splits_into_stripe_sized_bank_chunks(raw in any::<u64>()) {
-            for cfg in all_board_configs() {
-                let m = DdrMapping::new(cfg);
-                let frames = cfg.capacity() / PAGE_SIZE;
-                let frame_base = cfg.base() + (raw % frames) * PAGE_SIZE;
-                let chunks = m.split_at_bank_boundaries(frame_base, PAGE_SIZE).unwrap();
-                let expected = (PAGE_SIZE / m.stripe_bytes()).max(1);
-                prop_assert_eq!(chunks.len() as u64, expected);
-            }
-        }
-
         /// The arena addressing the bank shards use is pinned to the DDR
         /// mapping: every in-window address lands in exactly one bank slab
         /// at exactly one offset.  The (bank, ordinal) pair roundtrips to
@@ -788,10 +573,10 @@ mod tests {
             }
         }
 
-        /// Bank-chunk splits re-concatenate losslessly into arena terms:
-        /// every chunk occupies one contiguous slab-offset range of its
-        /// bank's arena, and across the whole split each byte of the range
-        /// claims exactly one (bank, slab offset) slot.
+        /// Walking a range stripe by stripe maps it into arena terms
+        /// losslessly: each stripe's piece of the range occupies one
+        /// contiguous slab-offset range of its bank's arena, and across the
+        /// whole range each byte claims exactly one (bank, slab offset) slot.
         #[test]
         fn prop_bank_chunks_map_to_disjoint_arena_ranges(raw in any::<u64>(), span in 1u64..(64 * 1024)) {
             for cfg in all_board_configs() {
@@ -799,26 +584,33 @@ mod tests {
                 let g = cfg.geometry();
                 let sb = m.stripe_bytes();
                 let len = span.min(cfg.capacity());
-                let addr = cfg.base() + raw % (cfg.capacity() - len + 1);
-                let chunks = m.split_at_bank_boundaries(addr, len).unwrap();
+                let start = raw % (cfg.capacity() - len + 1);
                 // Per bank: the covered slab ranges, as (start, end) offsets.
                 let mut ranges: std::collections::HashMap<u64, Vec<(u64, u64)>> =
                     std::collections::HashMap::new();
                 let mut covered = 0u64;
-                for chunk in &chunks {
-                    let rel = chunk.addr.offset_from(cfg.base());
-                    prop_assert_eq!(rel / sb, chunk.stripe);
-                    prop_assert_eq!(g.bank_of_stripe(chunk.stripe), chunk.bank);
+                let mut rel = start;
+                while rel < start + len {
+                    let stripe = rel / sb;
+                    let piece = (sb - rel % sb).min(start + len - rel);
+                    let bank = m.bank_of_stripe(stripe);
+                    // The whole piece is in the bank the coordinate
+                    // decomposition assigns.
+                    let first = m.decompose(cfg.base() + rel).unwrap().bank_id(&g);
+                    let last = m.decompose(cfg.base() + rel + piece - 1).unwrap().bank_id(&g);
+                    prop_assert_eq!(first, bank, "config {:?}", cfg.board());
+                    prop_assert_eq!(last, bank);
                     // Within a stripe, slab offsets advance densely with the
-                    // address, so the chunk is one contiguous slab range.
-                    let slab_start = g.ordinal_of_stripe(chunk.stripe) * sb + rel % sb;
+                    // address, so the piece is one contiguous slab range.
+                    let slab_start = g.ordinal_of_stripe(stripe) * sb + rel % sb;
                     ranges
-                        .entry(chunk.bank)
+                        .entry(bank)
                         .or_default()
-                        .push((slab_start, slab_start + chunk.len));
-                    covered += chunk.len;
+                        .push((slab_start, slab_start + piece));
+                    covered += piece;
+                    rel += piece;
                 }
-                prop_assert_eq!(covered, len, "chunks cover the range exactly");
+                prop_assert_eq!(covered, len, "pieces cover the range exactly");
                 for (bank, mut bank_ranges) in ranges {
                     bank_ranges.sort_unstable();
                     for pair in bank_ranges.windows(2) {

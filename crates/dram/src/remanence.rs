@@ -45,9 +45,23 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 /// the cell's (bank stripe, offset-in-stripe) coordinates.  This is the
 /// per-stripe decay state in functional form — every bank shard's stripes
 /// draw from their own slice of the sequence, so no read mutates it.
+///
+/// It is the composition of [`stripe_hash`] and [`cell_hash_in_stripe`]; a
+/// read that walks one stripe computes the first once per stripe.
 pub fn cell_hash(seed: u64, stripe: u64, offset_in_stripe: u64) -> u64 {
-    let h = splitmix64(seed ^ stripe.wrapping_mul(0xA24B_AED4_963E_E407));
-    splitmix64(h ^ offset_in_stripe.wrapping_mul(0x9FB2_1C65_1E98_DF25))
+    cell_hash_in_stripe(stripe_hash(seed, stripe), offset_in_stripe)
+}
+
+/// The stripe half of [`cell_hash`]: it depends only on the decay seed and
+/// the stripe.
+pub fn stripe_hash(seed: u64, stripe: u64) -> u64 {
+    splitmix64(seed ^ stripe.wrapping_mul(0xA24B_AED4_963E_E407))
+}
+
+/// The per-cell half of [`cell_hash`]: the draw of the cell at
+/// `offset_in_stripe` given its stripe's [`stripe_hash`].
+pub fn cell_hash_in_stripe(stripe_hash: u64, offset_in_stripe: u64) -> u64 {
+    splitmix64(stripe_hash ^ offset_in_stripe.wrapping_mul(0x9FB2_1C65_1E98_DF25))
 }
 
 /// How residue decays between a process's termination and the scrape.
@@ -202,18 +216,17 @@ impl DecayCurve {
                 }
             }
             DecayCurve::ClearBitsBelow { threshold } => {
-                let mut byte = raw;
+                // Every bit draws, set or not: clearing a clear bit changes
+                // nothing, and eight independent draws with no branch on
+                // the residue's bits run several times faster than testing
+                // each bit first.
+                let mut clear = 0u8;
                 for bit in 0..8u64 {
-                    let mask = 1u8 << bit;
-                    if byte & mask != 0
-                        && splitmix64(
-                            cell_hash.wrapping_add(bit.wrapping_mul(0xD6E8_FEB8_6659_FD93)),
-                        ) < threshold
-                    {
-                        byte &= !mask;
-                    }
+                    let draw =
+                        splitmix64(cell_hash.wrapping_add(bit.wrapping_mul(0xD6E8_FEB8_6659_FD93)));
+                    clear |= u8::from(draw < threshold) << bit;
                 }
-                byte
+                raw & !clear
             }
         }
     }
@@ -387,6 +400,24 @@ mod tests {
         assert_ne!(a, cell_hash(1, 3, 3));
         assert_ne!(a, cell_hash(1, 2, 4));
         assert_eq!(a, cell_hash(1, 2, 3));
+    }
+
+    proptest::proptest! {
+        /// The stripe half, computed once, composes with the per-cell half
+        /// to the pinned draw (the two-round formula, spelled out) for any
+        /// coordinates, so hoisting it out of a read changes no draw.
+        #[test]
+        fn prop_stripe_hash_composes_to_cell_hash(
+            seed in proptest::prelude::any::<u64>(),
+            stripe in proptest::prelude::any::<u64>(),
+            offset in proptest::prelude::any::<u64>(),
+        ) {
+            let h = splitmix64(seed ^ stripe.wrapping_mul(0xA24B_AED4_963E_E407));
+            let pinned = splitmix64(h ^ offset.wrapping_mul(0x9FB2_1C65_1E98_DF25));
+            let stripe_draw = stripe_hash(seed, stripe);
+            proptest::prop_assert_eq!(cell_hash_in_stripe(stripe_draw, offset), pinned);
+            proptest::prop_assert_eq!(cell_hash(seed, stripe, offset), pinned);
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use crate::addr::PAGE_SIZE;
 use crate::device::OwnerTag;
-use crate::remanence::{cell_hash, splitmix64, RemanenceModel};
+use crate::remanence::{cell_hash_in_stripe, splitmix64, stripe_hash, RemanenceModel};
 
 /// Longest run one repeat token can encode.
 const MAX_RUN: usize = 128;
@@ -309,11 +309,10 @@ impl SwapStore {
         // The slot id stands in for the stripe coordinate; the salt keeps
         // swap draws disjoint from the frame-residue draws at the same seed.
         let stripe = splitmix64(id as u64 ^ 0x5A5A_C0DE_0015_0CA7);
-        let decayed: Vec<u8> = slot
-            .compressed
-            .iter()
-            .enumerate()
-            .map(|(i, &byte)| curve.apply(byte, cell_hash(self.seed, stripe, i as u64)))
+        let stripe_draw = stripe_hash(self.seed, stripe);
+        let decayed: Vec<u8> = (0u64..)
+            .zip(&slot.compressed)
+            .map(|(i, &byte)| curve.apply(byte, cell_hash_in_stripe(stripe_draw, i)))
             .collect();
         Some(decompress_page(&decayed, slot.raw_len))
     }
