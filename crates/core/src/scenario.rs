@@ -23,7 +23,7 @@
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
 use std::collections::BTreeSet;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use petalinux_sim::{BoardConfig, Kernel, Pid, UserId};
 use vitis_ai_sim::runner::heap_image;
@@ -909,7 +909,8 @@ impl<'a> BootedScenario<'a> {
 
     /// Scrape under live traffic: reads the heap in page chunks, running the
     /// schedule's churn events between chunks, and counts each victim
-    /// residue frame that was already gone when its page was read.
+    /// residue frame that was already gone when its page was read.  Returns
+    /// the dump before the swap overlay.
     #[allow(clippy::too_many_arguments)]
     fn scrape_with_churn(
         &mut self,
@@ -919,13 +920,13 @@ impl<'a> BootedScenario<'a> {
         victim_residue: &BTreeSet<FrameNumber>,
         lifetime: &mut ResidueLifetime,
         reclaimed: &mut BTreeSet<FrameNumber>,
-    ) -> Result<AttackOutcome, AttackError> {
+    ) -> Result<MemoryDump, AttackError> {
         if debugger.is_running(&self.kernel, observation.pid()) {
             return Err(AttackError::VictimStillRunning {
                 pid: observation.pid(),
             });
         }
-        let translation = observation.translation().clone();
+        let translation = observation.translation();
         let mode = self.pipeline.config().scrape_mode;
         mode.validate()?;
         let pid = translation.pid();
@@ -934,11 +935,7 @@ impl<'a> BootedScenario<'a> {
         // usability test, so a degenerate translation with no pages at all
         // scores an empty outcome instead of erroring.
         if translation.heap_len() == 0 {
-            return Ok(self.pipeline.score_dump(
-                observation,
-                &MemoryDump::empty(translation.heap_start()),
-                Duration::ZERO,
-            ));
+            return Ok(MemoryDump::empty(translation.heap_start()));
         }
         // Mode-specific usability checks, mirroring `crate::scrape`: the
         // endpoint attackers (contiguous and its multi-snapshot variant)
@@ -959,7 +956,6 @@ impl<'a> BootedScenario<'a> {
             None
         };
 
-        let scrape_start = Instant::now();
         let window = self.kernel.config().dram();
         let mut captured: Vec<Option<(PhysAddr, Vec<u8>)>> =
             Vec::with_capacity(translation.pages().len());
@@ -1015,7 +1011,7 @@ impl<'a> BootedScenario<'a> {
                 }
             }
         }
-        let mut dump = if mode.reads_contiguous_range() {
+        Ok(if mode.reads_contiguous_range() {
             let start = contiguous_start.expect("checked for contiguous mode");
             let heap_len = translation.heap_len() as usize;
             let mut bytes = Vec::with_capacity(heap_len);
@@ -1029,23 +1025,28 @@ impl<'a> BootedScenario<'a> {
             // The multi-snapshot attacker takes its remaining reads here, one
             // decay tick apart, pinned relative to the scrape start: the
             // churned chunk pass above is snapshot 1 (its ticks are sequenced
-            // by chunk count), and each further snapshot is one full-range
-            // re-read a tick later.  Before this arm existed the mode
-            // silently degenerated under live traffic to the single churned
-            // pass.
+            // by chunk count), and the further snapshots are full-range
+            // re-reads starting a tick later, taken by the same multi-tick
+            // read as the single-sweep scrape.
             if let ScrapeMode::MultiSnapshot { snapshots } = mode {
-                let mut reads = Vec::with_capacity(snapshots);
-                reads.push(std::mem::take(&mut bytes));
-                for _ in 1..snapshots {
+                let mut reads = vec![std::mem::take(&mut bytes)];
+                if snapshots > 1 {
                     self.kernel.tick(1);
-                    let mut snapshot = if start < window.end() {
+                    if start < window.end() {
                         let available = window.end().offset_from(start).min(heap_len as u64);
-                        debugger.read_phys_range(&self.kernel, start, available as usize)?
+                        reads.extend(debugger.read_phys_snapshots(
+                            &mut self.kernel,
+                            start,
+                            available as usize,
+                            snapshots - 1,
+                        )?);
                     } else {
-                        Vec::new()
-                    };
-                    snapshot.resize(heap_len, 0);
-                    reads.push(snapshot);
+                        // Nothing past the window end to read, but the
+                        // snapshots' ticks still pass.
+                        for _ in 2..snapshots {
+                            self.kernel.tick(1);
+                        }
+                    }
                 }
                 bytes = crate::analysis::reconstruct::fuse_snapshots(&reads);
                 bytes.resize(heap_len, 0);
@@ -1053,14 +1054,7 @@ impl<'a> BootedScenario<'a> {
             MemoryDump::from_contiguous(translation.heap_start(), start, bytes)
         } else {
             MemoryDump::from_pages(translation.heap_start(), captured)
-        };
-        // Drain the compressed-swap channel before scoring, exactly as the
-        // single-sweep `execute_mut` path does.
-        self.pipeline
-            .read_swap_residue(&self.kernel, observation, &mut dump);
-        Ok(self
-            .pipeline
-            .score_dump(observation, &dump, scrape_start.elapsed()))
+        })
     }
 
     /// Stage 2: launches the victim model on the booted board.
@@ -1139,14 +1133,23 @@ impl<'a> BootedScenario<'a> {
         self.play_revival_epilogue(victim_pid, &mut lifetime, &mut reclaimed)?;
 
         let attack = match self.scenario.schedule {
-            VictimSchedule::LiveTraffic { churn_rate, .. } => self.scrape_with_churn(
-                &mut debugger,
-                &observation,
-                churn_rate,
-                &victim_residue,
-                &mut lifetime,
-                &mut reclaimed,
-            )?,
+            VictimSchedule::LiveTraffic { churn_rate, .. } => {
+                let scrape_start = Instant::now();
+                let mut dump = self.scrape_with_churn(
+                    &mut debugger,
+                    &observation,
+                    churn_rate,
+                    &victim_residue,
+                    &mut lifetime,
+                    &mut reclaimed,
+                )?;
+                // Drain the compressed-swap channel before scoring, exactly
+                // as the single-sweep `execute_mut` path does.
+                self.pipeline
+                    .read_swap_residue(&self.kernel, &observation, &mut dump);
+                self.pipeline
+                    .score_dump(&observation, &dump, scrape_start.elapsed())
+            }
             _ => {
                 // No mutation happens during the scrape itself: the loss
                 // count is exact when taken just before the read starts.
@@ -1226,6 +1229,7 @@ mod tests {
     use super::*;
     use crate::attack::ScrapeMode;
     use petalinux_sim::IsolationPolicy;
+    use std::time::Duration;
     use zynq_dram::SanitizePolicy;
 
     #[test]
@@ -1576,7 +1580,7 @@ mod tests {
             let observation = Observation::from_translation(translation);
             let mut lifetime = ResidueLifetime::default();
             let mut reclaimed = BTreeSet::new();
-            let outcome = booted
+            let dump = booted
                 .scrape_with_churn(
                     &mut debugger,
                     &observation,
@@ -1586,6 +1590,9 @@ mod tests {
                     &mut reclaimed,
                 )
                 .unwrap();
+            let outcome = booted
+                .pipeline
+                .score_dump(&observation, &dump, Duration::ZERO);
             // A typed, correctly sized outcome at every width — never a
             // `TranslationEmpty` error, never a page-rounded dump.
             assert_eq!(outcome.bytes_scraped, len as usize, "len={len}");
@@ -1709,7 +1716,7 @@ mod tests {
 
             let mut lifetime = ResidueLifetime::default();
             let mut reclaimed = std::collections::BTreeSet::new();
-            let via_churn_path = booted
+            let dump = booted
                 .scrape_with_churn(
                     &mut debugger,
                     &observation,
@@ -1719,6 +1726,9 @@ mod tests {
                     &mut reclaimed,
                 )
                 .unwrap();
+            let via_churn_path = booted
+                .pipeline
+                .score_dump(&observation, &dump, Duration::ZERO);
 
             assert_eq!(via_pipeline.identified, via_churn_path.identified, "{mode}");
             assert_eq!(via_pipeline.marker_runs, via_churn_path.marker_runs);
@@ -1869,5 +1879,117 @@ mod tests {
         let outcome = booted.run().unwrap();
         // Polling still latched onto the victim, not a tenant.
         assert_eq!(outcome.ground_truth().model(), ModelKind::SqueezeNet);
+    }
+
+    /// Live traffic × multi-snapshot, pinned per cell: a digest of the fused
+    /// dump, the debugger's audit trail, the scrub reports, the final clock,
+    /// the residue-lifetime counters and the victim's residue fidelity after
+    /// the churned scrape.  Background scrubs that come due inside the
+    /// snapshot window are part of the matrix.
+    #[test]
+    fn live_traffic_multi_snapshot_scrapes_are_pinned() {
+        use zynq_dram::RemanenceModel;
+        fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+            bytes.iter().fold(hash, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+            })
+        }
+        let mut digests = Vec::new();
+        for remanence in [
+            RemanenceModel::Exponential { half_life_ticks: 4 },
+            RemanenceModel::BitFlip { rate_ppm: 120_000 },
+        ] {
+            for policy in [
+                SanitizePolicy::None,
+                SanitizePolicy::Background { delay_ticks: 2 },
+                SanitizePolicy::Background { delay_ticks: 4 },
+            ] {
+                for (snapshots, churn_rate) in [(1, 1), (2, 0), (3, 1), (5, 1)] {
+                    let board = BoardConfig::tiny_for_tests()
+                        .with_remanence(remanence)
+                        .with_sanitize_policy(policy);
+                    let mode = ScrapeMode::MultiSnapshot { snapshots };
+                    let scenario = AttackScenario::new(board, ModelKind::SqueezeNet)
+                        .with_corrupted_input()
+                        .with_attack_config(AttackConfig {
+                            scrape_mode: mode,
+                            victim_pattern: Some("squeezenet".to_string()),
+                            ..AttackConfig::default()
+                        })
+                        .with_schedule(VictimSchedule::LiveTraffic {
+                            tenants: 1,
+                            churn_rate,
+                        })
+                        .with_seed(31);
+                    let mut booted = scenario.boot().unwrap();
+                    let victim = booted.launch_victim().unwrap();
+                    let mut debugger = DebugSession::connect(scenario.attacker_user);
+                    let observation = booted
+                        .pipeline
+                        .poll_and_observe(&mut debugger, &booted.kernel)
+                        .unwrap();
+                    let victim_tag = victim.pid().owner_tag();
+                    victim.terminate(&mut booted.kernel).unwrap();
+                    let residue: BTreeSet<FrameNumber> = booted
+                        .kernel
+                        .dram()
+                        .residue_frames()
+                        .filter(|(_, owner)| *owner == victim_tag)
+                        .map(|(frame, _)| frame)
+                        .collect();
+                    let mut lifetime = ResidueLifetime::default();
+                    let mut reclaimed = BTreeSet::new();
+                    let dump = booted
+                        .scrape_with_churn(
+                            &mut debugger,
+                            &observation,
+                            churn_rate,
+                            &residue,
+                            &mut lifetime,
+                            &mut reclaimed,
+                        )
+                        .unwrap();
+                    let state = format!(
+                        "{:?}|{:?}|{}|{:?}|{:?}",
+                        debugger.audit().records(),
+                        booted.kernel.scrub_reports(),
+                        booted.kernel.clock(),
+                        lifetime,
+                        booted.kernel.dram().residue_decay(Some(victim_tag)),
+                    );
+                    let digest = fnv1a(0xCBF2_9CE4_8422_2325, dump.as_bytes());
+                    digests.push(fnv1a(digest, state.as_bytes()));
+                }
+            }
+        }
+        assert_eq!(
+            digests,
+            [
+                0xB5A1_B5B0_6027_5ECA,
+                0xA541_5016_1CC7_4A0A,
+                0xDB6A_01EE_EE38_F476,
+                0xAE0B_D09F_F38E_DE61,
+                0x5F9A_AEEA_653B_39AF,
+                0xB70F_FCD9_C185_67C5,
+                0x6A9B_EE26_35C8_1895,
+                0xC084_8598_1F13_971E,
+                0x6B49_9558_8764_8742,
+                0x785C_4793_5C3A_0B53,
+                0xEE45_B5B1_AAE1_870C,
+                0x6785_73E2_3000_9F17,
+                0x6153_75E1_58E4_9CC9,
+                0x7BFA_AEBE_3892_DFB7,
+                0x0F17_F100_6E21_2214,
+                0x07CB_695F_FCF2_73EF,
+                0xAE53_7AE2_E703_56EB,
+                0x4BBC_7E1E_56BE_4076,
+                0xF2DC_88C9_14B4_8AF9,
+                0x7B17_A67E_4086_D7E2,
+                0x7D0B_4FE3_BAEC_7D74,
+                0x3920_9997_4A70_9677,
+                0x7C17_BFC8_2E33_3DAA,
+                0xA1A4_F87A_A091_2E7D,
+            ]
+        );
     }
 }

@@ -96,7 +96,8 @@ pub fn scrape_heap_view<'k>(
 }
 
 /// A multi-snapshot scrape: the fused dump the analysis consumes plus the
-/// raw per-snapshot reads (each taken one decay tick after the previous).
+/// raw per-snapshot reads (each taken one decay tick after the previous;
+/// the kernel evaluates the decay view at several ticks per sweep).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotScrape {
     /// The OR-fused dump ([`crate::analysis::reconstruct::fuse_snapshots`]).
@@ -108,7 +109,10 @@ pub struct SnapshotScrape {
 /// The mutable-kernel form of [`scrape_heap`] for
 /// [`ScrapeMode::MultiSnapshot`]: reads the victim's contiguous physical
 /// range `snapshots` times across successive decay ticks and OR-fuses the
-/// reads into one dump.
+/// reads into one dump.  The reads are
+/// [`DebugSession::read_phys_snapshots`]: one audit entry per snapshot, and
+/// one decay sweep for all the snapshots between two background-scrub
+/// deadlines, drawing each residue cell once.
 ///
 /// Because decay only ever clears bits, the fused dump is a bitwise superset
 /// of every individual snapshot and a subset of the raw residue; with the

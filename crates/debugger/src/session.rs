@@ -214,10 +214,12 @@ impl DebugSession {
     /// Reads the same `len`-byte physical range `snapshots` times across
     /// successive decay ticks ([`Shell::devmem_read_snapshots`]).
     ///
-    /// Each snapshot is a separate physical read, so the defender's monitor
-    /// sees one `ReadPhys` audit entry per snapshot — repeated scraping of
-    /// the same range is exactly the access pattern a remanence-accumulation
-    /// attack leaves behind.  A failed batch records a single denied entry.
+    /// The kernel may take several snapshots in one decay sweep, but each
+    /// snapshot is still one physical read of the range at its own tick, so
+    /// the defender's monitor sees one `ReadPhys` audit entry per snapshot —
+    /// repeated scraping of the same range is exactly the access pattern a
+    /// remanence-accumulation attack leaves behind.  A failed batch records
+    /// a single denied entry.
     ///
     /// # Errors
     ///

@@ -38,7 +38,7 @@ use crate::config::{DdrGeometry, DramConfig};
 use crate::error::DramError;
 use crate::mapping::DdrMapping;
 use crate::remanence::{
-    cell_hash_in_stripe, splitmix64, stripe_hash, RemanenceModel, ResidueDecay,
+    decay_masks, splitmix64, stripe_hash, DecayCurve, RemanenceModel, ResidueDecay,
 };
 use crate::stats::DramStats;
 use crate::swap::SwapStore;
@@ -538,61 +538,74 @@ impl Dram {
         }
     }
 
-    /// Applies the remanence decay view to `buf` (previously filled from the
-    /// raw store starting at `addr`): bytes belonging to residue frames are
-    /// mapped through the model's decay curve, everything else is returned
-    /// raw.
-    ///
-    /// The view is a pure function of the decay seed, the cell coordinates,
-    /// the granule's residue origin and the current logical tick — no state
-    /// is mutated — so every read of the same range produces identical bytes,
-    /// and the whole pass is skipped by one branch under
-    /// [`RemanenceModel::Perfect`].
-    fn apply_decay_view(&self, addr: PhysAddr, buf: &mut [u8]) {
-        if self.remanence.is_perfect() || buf.is_empty() {
+    /// The one remanence decay kernel: calls `apply(pos, raw, masks)` for
+    /// every residue chunk of `[addr, addr + len)` that decays at one of
+    /// `ticks` consecutive ticks from now, with the chunk's offset in the
+    /// range, its raw bytes and one row of masks per tick ([`decay_masks`]);
+    /// everything else reads raw.  Chunks stay inside one frame (residue
+    /// gating) and one stripe (hash coordinates), hence one decay granule.
+    /// Nothing runs under [`RemanenceModel::Perfect`], and nothing is
+    /// allocated before the first decaying chunk.
+    fn decay_sweep(
+        &self,
+        addr: PhysAddr,
+        len: usize,
+        ticks: usize,
+        mut apply: impl FnMut(usize, &[u8], &[u8]),
+    ) {
+        if self.remanence.is_perfect() {
             return;
         }
-        let base = self.config.base();
+        let start = addr.offset_from(self.config.base());
         let sb = self.stripe_bytes;
         let granule_bytes = self.decay_granule_bytes();
         let now = self.remanence_tick;
-        let mut cursor = 0usize;
-        while cursor < buf.len() {
-            let rel = (addr + cursor as u64).offset_from(base);
-            // Chunks never cross a frame (residue gating) or stripe (hash
-            // coordinates) boundary — which also pins them inside one decay
-            // granule, since the granule is the smaller of the two.
-            let frame_remaining = PAGE_SIZE - rel % PAGE_SIZE;
+        let (mut curves, mut hashes, mut masks) = (Vec::new(), Vec::new(), Vec::new());
+        let mut pos = 0usize;
+        while pos < len {
+            let rel = start + pos as u64;
+            let chunk = (PAGE_SIZE - rel % PAGE_SIZE)
+                .min(sb - rel % sb)
+                .min((len - pos) as u64) as usize;
             let stripe = rel / sb;
-            let stripe_remaining = sb - rel % sb;
-            let chunk = frame_remaining
-                .min(stripe_remaining)
-                .min((buf.len() - cursor) as u64) as usize;
-            let frame = rel / PAGE_SIZE;
-            let is_residue = self.ownership.get(&frame).is_some_and(|rec| !rec.live);
-            if is_residue {
-                let origin = self.banks[self.stripe_bank(stripe)]
-                    .decay_origins
-                    .get(&(rel / granule_bytes));
-                if let Some(&origin) = origin {
-                    let curve = self.remanence.curve(now.saturating_sub(origin));
-                    if !curve.is_identity() {
-                        // The stripe half of the cell hash is the same for
-                        // every byte of the chunk.
-                        let stripe_draw = stripe_hash(self.remanence_seed, stripe);
-                        let first = rel % sb;
-                        let bytes = buf.get_mut(cursor..cursor + chunk).unwrap_or_default();
-                        for (offset, byte) in (first..).zip(bytes) {
-                            if *byte != 0 {
-                                *byte =
-                                    curve.apply(*byte, cell_hash_in_stripe(stripe_draw, offset));
-                            }
-                        }
-                    }
+            let residue = self
+                .ownership
+                .get(&(rel / PAGE_SIZE))
+                .is_some_and(|rec| !rec.live);
+            let origins = &self.banks[self.stripe_bank(stripe)].decay_origins;
+            let origin = origins.get(&(rel / granule_bytes)).filter(|_| residue);
+            if let (Some(&origin), Some(stripe_bytes)) = (origin, self.stripe(stripe)) {
+                curves.clear();
+                curves.extend(
+                    (now..)
+                        .take(ticks)
+                        .map(|tick| self.remanence.curve(tick.saturating_sub(origin))),
+                );
+                if !curves.iter().all(DecayCurve::is_identity) {
+                    let first = rel % sb;
+                    let raw = &stripe_bytes[first as usize..first as usize + chunk];
+                    let stripe_draw = stripe_hash(self.remanence_seed, stripe);
+                    decay_masks(raw, stripe_draw, first, &curves, &mut hashes, &mut masks);
+                    apply(pos, raw, &masks);
                 }
             }
-            cursor += chunk;
+            pos += chunk;
         }
+    }
+
+    /// Decays `reads`, raw copies of one range at `addr`, to the range as
+    /// read `i` ticks from now.
+    fn apply_decay<B: AsMut<[u8]>>(&self, addr: PhysAddr, reads: &mut [B]) {
+        let ticks = reads.len();
+        let len = reads.first_mut().map_or(0, |read| read.as_mut().len());
+        self.decay_sweep(addr, len, ticks, |pos, raw, masks| {
+            for (read, row) in reads.iter_mut().zip(masks.chunks_exact(raw.len())) {
+                let out = &mut read.as_mut()[pos..pos + raw.len()];
+                for (byte, mask) in out.iter_mut().zip(row) {
+                    *byte &= mask;
+                }
+            }
+        });
     }
 
     fn check_range(&self, addr: PhysAddr, len: u64) -> Result<(), DramError> {
@@ -621,14 +634,8 @@ impl Dram {
     ///
     /// Returns [`DramError::OutOfRange`] if the address is outside the window.
     pub fn read_u8(&self, addr: PhysAddr) -> Result<u8, DramError> {
-        self.check_range(addr, 1)?;
-        let rel = addr.offset_from(self.config.base());
-        let offset = (rel % self.stripe_bytes) as usize;
-        let mut byte = [self
-            .stripe(rel / self.stripe_bytes)
-            .map(|s| s[offset])
-            .unwrap_or(0)];
-        self.apply_decay_view(addr, &mut byte);
+        let mut byte = [0u8];
+        self.read_bytes(addr, &mut byte)?;
         Ok(byte[0])
     }
 
@@ -644,15 +651,29 @@ impl Dram {
     /// Returns [`DramError::OutOfRange`] if any byte falls outside the window.
     pub fn read_bytes(&self, addr: PhysAddr, buf: &mut [u8]) -> Result<(), DramError> {
         self.check_range(addr, buf.len() as u64)?;
-        self.read_decayed_unchecked(addr, buf);
+        self.read_bytes_unchecked(addr, buf);
+        self.apply_decay(addr, &mut [buf]);
         Ok(())
     }
 
-    /// The range-checked body of [`Dram::read_bytes`]: raw shard copy
-    /// followed by the lazy decay view.
-    fn read_decayed_unchecked(&self, addr: PhysAddr, buf: &mut [u8]) {
-        self.read_bytes_unchecked(addr, buf);
-        self.apply_decay_view(addr, buf);
+    /// Reads `len` bytes at `addr` at `ticks` consecutive ticks in one decay
+    /// sweep: read `i` is [`Dram::read_bytes`] after `i` more ticks.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DramError::OutOfRange`] if any byte falls outside the window.
+    pub fn read_ticks(
+        &self,
+        addr: PhysAddr,
+        len: usize,
+        ticks: usize,
+    ) -> Result<Vec<Vec<u8>>, DramError> {
+        self.check_range(addr, len as u64)?;
+        let mut raw = vec![0u8; len];
+        self.read_bytes_unchecked(addr, &mut raw);
+        let mut reads = vec![raw; ticks];
+        self.apply_decay(addr, &mut reads);
+        Ok(reads)
     }
 
     /// The raw (pre-decay) bulk read: one shard lookup per touched bank
@@ -901,30 +922,6 @@ impl Dram {
         Ok(())
     }
 
-    /// `true` when every byte of frame `idx` is zero (absent stripes count
-    /// as zero).
-    fn frame_is_zero(&self, idx: u64) -> bool {
-        if !self.materialized.contains(&idx) {
-            return true;
-        }
-        let sb = self.stripe_bytes;
-        let frame_start = idx * PAGE_SIZE;
-        let frame_end = frame_start + PAGE_SIZE;
-        let mut rel = frame_start;
-        while rel < frame_end {
-            let offset = rel % sb;
-            let chunk = (sb - offset).min(frame_end - rel);
-            if let Some(stripe) = self.stripe(rel / sb) {
-                let slice = &stripe[offset as usize..(offset + chunk) as usize];
-                if slice.iter().any(|&b| b != 0) {
-                    return false;
-                }
-            }
-            rel += chunk;
-        }
-        true
-    }
-
     /// Zeroes the covered slices of every *materialized* stripe in
     /// `[addr, addr + len)`; stripes outside every slab span are already
     /// zero.  Small ranges walk their few stripes directly (O(1) offset
@@ -981,7 +978,7 @@ impl Dram {
             // A frame fully covered by the scrub is zero by construction; a
             // partially covered one must be scanned.
             let fully_covered = idx * PAGE_SIZE >= rel_start && (idx + 1) * PAGE_SIZE <= rel_end;
-            if fully_covered || self.frame_is_zero(idx) {
+            if fully_covered || self.frame_nonzero_bytes(idx) == 0 {
                 self.ownership.remove(&idx);
                 if track_decay {
                     // Scrubbed clean: nothing left to decay.
@@ -1065,28 +1062,14 @@ impl Dram {
             .map(move |(idx, rec)| (FrameNumber::new(first + idx), rec.owner))
     }
 
-    /// Non-zero bytes of frame `idx`, gathered across its bank stripes.
+    /// Non-zero bytes of frame `idx` (absent stripes read as zero).
     fn frame_nonzero_bytes(&self, idx: u64) -> u64 {
         if !self.materialized.contains(&idx) {
             return 0;
         }
-        let sb = self.stripe_bytes;
-        let frame_start = idx * PAGE_SIZE;
-        let frame_end = frame_start + PAGE_SIZE;
-        let mut count = 0u64;
-        let mut rel = frame_start;
-        while rel < frame_end {
-            let offset = rel % sb;
-            let chunk = (sb - offset).min(frame_end - rel);
-            if let Some(stripe) = self.stripe(rel / sb) {
-                count += stripe[offset as usize..(offset + chunk) as usize]
-                    .iter()
-                    .filter(|&&b| b != 0)
-                    .count() as u64;
-            }
-            rel += chunk;
-        }
-        count
+        let mut frame = [0u8; PAGE_SIZE as usize];
+        self.read_bytes_unchecked(self.config.base() + idx * PAGE_SIZE, &mut frame);
+        frame.iter().filter(|&&b| b != 0).count() as u64
     }
 
     /// Total number of bytes that differ from zero in residue frames.
@@ -1106,52 +1089,30 @@ impl Dram {
     /// Measures how much of the residue the remanence decay view still
     /// exposes, optionally restricted to one owner's residue frames.
     ///
-    /// Compares the raw store against the decayed view frame by frame:
-    /// `raw_bytes` counts non-zero residue bytes before decay,
+    /// Counts inside the decay sweep of each residue frame, with no decayed
+    /// copy: `raw_bytes` counts non-zero residue bytes before decay,
     /// `surviving_bytes` those still non-zero through the view, and
     /// `bits_flipped` every bit the view lost.  Under
     /// [`RemanenceModel::Perfect`] the view is the identity, so
     /// `bits_flipped` is always zero.
     pub fn residue_decay(&self, owner: Option<OwnerTag>) -> ResidueDecay {
         let mut decay = ResidueDecay::default();
-        let mut frames: Vec<u64> = self
+        let mut lost = 0u64;
+        let frames = self
             .ownership
             .iter()
-            .filter(|(_, rec)| !rec.live && owner.is_none_or(|o| rec.owner == o))
-            .map(|(idx, _)| *idx)
-            .collect();
-        frames.sort_unstable();
-        if self.remanence.is_perfect() {
-            // The view is the identity: the answer is knowable without
-            // materializing a single decayed byte.
-            let raw: u64 = frames
-                .iter()
-                .map(|idx| self.frame_nonzero_bytes(*idx))
-                .sum();
-            return ResidueDecay {
-                raw_bytes: raw,
-                surviving_bytes: raw,
-                bits_flipped: 0,
-            };
-        }
-        let mut raw = vec![0u8; PAGE_SIZE as usize];
-        let mut seen = vec![0u8; PAGE_SIZE as usize];
-        let base = self.config.base();
-        for idx in frames {
-            let addr = base + idx * PAGE_SIZE;
-            self.read_bytes_unchecked(addr, &mut raw);
-            seen.copy_from_slice(&raw);
-            self.apply_decay_view(addr, &mut seen);
-            for (r, s) in raw.iter().zip(&seen) {
-                if *r != 0 {
-                    decay.raw_bytes += 1;
-                    if *s != 0 {
-                        decay.surviving_bytes += 1;
-                    }
+            .filter(|(_, rec)| !rec.live && owner.is_none_or(|o| rec.owner == o));
+        for (&idx, _) in frames {
+            decay.raw_bytes += self.frame_nonzero_bytes(idx);
+            let addr = self.config.base() + idx * PAGE_SIZE;
+            self.decay_sweep(addr, PAGE_SIZE as usize, 1, |_, raw, masks| {
+                for (&byte, &mask) in raw.iter().zip(masks) {
+                    lost += u64::from(byte != 0 && byte & mask == 0);
+                    decay.bits_flipped += u64::from((byte & !mask).count_ones());
                 }
-                decay.bits_flipped += (r ^ s).count_ones() as u64;
-            }
+            });
         }
+        decay.surviving_bytes = decay.raw_bytes - lost;
         decay
     }
 

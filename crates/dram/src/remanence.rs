@@ -27,6 +27,10 @@
 //!   are always a subset of the raw byte's.
 //! - **Scoped** — the view applies only to frames whose owner has terminated
 //!   (residue).  Live owners' data is returned raw at every tick.
+//!
+//! The draw is per cell and only the threshold moves with the tick, so one
+//! sweep evaluates the view at several ticks, drawing each cell once
+//! ([`Dram::read_ticks`](crate::Dram::read_ticks)).
 
 // Lint audit: narrowing casts here operate on values already clamped
 // to their target range by the surrounding arithmetic.
@@ -216,17 +220,78 @@ impl DecayCurve {
                 }
             }
             DecayCurve::ClearBitsBelow { threshold } => {
-                // Every bit draws, set or not: clearing a clear bit changes
-                // nothing, and eight independent draws with no branch on
-                // the residue's bits run several times faster than testing
-                // each bit first.
-                let mut clear = 0u8;
-                for bit in 0..8u64 {
-                    let draw =
-                        splitmix64(cell_hash.wrapping_add(bit.wrapping_mul(0xD6E8_FEB8_6659_FD93)));
-                    clear |= u8::from(draw < threshold) << bit;
-                }
-                raw & !clear
+                raw & !cleared_bits(&bit_draws(cell_hash), threshold)
+            }
+        }
+    }
+}
+
+/// The eight per-bit draws of [`DecayCurve::ClearBitsBelow`].  Every bit
+/// draws, set or not: eight draws with no branch on the residue's bits run
+/// several times faster than testing each bit first.
+fn bit_draws(cell_hash: u64) -> [u64; 8] {
+    std::array::from_fn(|bit| {
+        splitmix64(cell_hash.wrapping_add((bit as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93)))
+    })
+}
+
+/// The bits whose draw falls below `threshold`.
+fn cleared_bits(draws: &[u64; 8], threshold: u64) -> u8 {
+    (0u8..).zip(draws).fold(0, |clear, (bit, &draw)| {
+        clear | u8::from(draw < threshold) << bit
+    })
+}
+
+/// The decay view of `raw`, from offset `first` of a stripe whose
+/// [`stripe_hash`] is `stripe_draw`, at several ticks: `masks` gets one row
+/// of `raw.len()` masks per curve (one model resolved at consecutive ticks),
+/// mask `j` of row `i` being the `m` with `curves[i].apply(raw[j], h) ==
+/// raw[j] & m` (unspecified for zero bytes); `raw` is not empty.  Each byte's cell hash, kept in
+/// `hashes`, and under bit-flip decay its eight bit draws are computed once
+/// for all ticks, and each kind has its own loop.
+pub(crate) fn decay_masks(
+    raw: &[u8],
+    stripe_draw: u64,
+    first: u64,
+    curves: &[DecayCurve],
+    hashes: &mut Vec<u64>,
+    masks: &mut Vec<u8>,
+) {
+    hashes.clear();
+    hashes.extend((first..).zip(raw).map(|(offset, &byte)| match byte {
+        0 => 0,
+        _ => cell_hash_in_stripe(stripe_draw, offset),
+    }));
+    masks.resize(raw.len() * curves.len(), 0);
+    let rows = masks.chunks_exact_mut(raw.len()).zip(curves);
+    if !curves
+        .iter()
+        .any(|c| matches!(c, DecayCurve::ClearBitsBelow { .. }))
+    {
+        for (row, curve) in rows {
+            let DecayCurve::KeepBelow { threshold } = *curve else {
+                row.fill(0xFF);
+                continue;
+            };
+            for (mask, &hash) in row.iter_mut().zip(hashes.iter()) {
+                *mask = u8::from(hash < threshold).wrapping_neg();
+            }
+        }
+        return;
+    }
+    for (j, (&byte, &hash)) in raw.iter().zip(hashes.iter()).enumerate() {
+        if byte == 0 {
+            continue;
+        }
+        let draws = bit_draws(hash);
+        for (row, curve) in masks.chunks_exact_mut(raw.len()).zip(curves) {
+            // The identity clears nothing: a zero threshold.
+            let threshold = match *curve {
+                DecayCurve::ClearBitsBelow { threshold } => threshold,
+                _ => 0,
+            };
+            if let Some(mask) = row.get_mut(j) {
+                *mask = !cleared_bits(&draws, threshold);
             }
         }
     }

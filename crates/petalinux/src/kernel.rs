@@ -639,14 +639,13 @@ impl Kernel {
         Ok(self.dram.scrape_view(addr, len)?)
     }
 
-    /// Reads the same physical range `snapshots` times, advancing the decay
-    /// clock one tick between reads (each snapshot therefore sees the residue
-    /// one revival window later than the previous one).
-    ///
-    /// The first snapshot is taken at the current clock, so a single-snapshot
-    /// read is byte-identical to [`Kernel::read_physical_bytes`].  Ticking the
-    /// clock also runs any background scrubs that come due, exactly as
-    /// [`Kernel::tick`] would.
+    /// Reads the same physical range `snapshots` times, one decay tick
+    /// apart; the first at the current clock, so one snapshot is
+    /// [`Kernel::read_physical_bytes`].  Snapshot `k` is taken after every
+    /// background scrub due by `clock + k` has run, as with a
+    /// [`Kernel::tick`]`(1)` between reads, and the clock ends
+    /// `snapshots - 1` ticks on.  Snapshots between two scrub deadlines are
+    /// one [`zynq_dram::Dram::read_ticks`] sweep.
     ///
     /// # Errors
     ///
@@ -661,13 +660,21 @@ impl Kernel {
             return Err(zynq_dram::DramError::ZeroSnapshots.into());
         }
         let mut reads = Vec::with_capacity(snapshots);
-        for snapshot in 0..snapshots {
-            if snapshot > 0 {
+        while reads.len() < snapshots {
+            if !reads.is_empty() {
                 self.tick(1);
             }
-            let mut buf = vec![0u8; len];
-            self.read_physical_bytes(addr, &mut buf)?;
-            reads.push(buf);
+            // A run ends at the next scrub deadline; an overdue scrub runs
+            // on the first tick.
+            let deadline = self.deferred.iter().map(|d| d.due_tick).min();
+            let gap = deadline.map_or(u64::MAX, |due| due.saturating_sub(self.clock));
+            let run = usize::try_from(gap)
+                .unwrap_or(usize::MAX)
+                .clamp(1, snapshots - reads.len());
+            reads.extend(self.dram.read_ticks(addr, len, run)?);
+            if run > 1 {
+                self.tick(run as u64 - 1);
+            }
         }
         Ok(reads)
     }

@@ -164,10 +164,11 @@ impl Shell {
         kernel.read_physical_view(addr, len)
     }
 
-    /// The multi-snapshot form of [`Shell::devmem_read_bytes`]: re-runs the
-    /// same `devmem` loop `snapshots` times with one decay tick between runs
-    /// ([`Kernel::read_physical_snapshots`]).  Same permission check, applied
-    /// once for the whole batch.
+    /// The multi-snapshot form of [`Shell::devmem_read_bytes`]: the same
+    /// range read `snapshots` times, one decay tick apart
+    /// ([`Kernel::read_physical_snapshots`], which evaluates the decay view
+    /// at several ticks per sweep).  Same permission check, applied once for
+    /// the whole batch.
     ///
     /// # Errors
     ///
