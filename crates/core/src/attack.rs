@@ -6,7 +6,7 @@ use petalinux_sim::{Kernel, Pid};
 use vitis_ai_sim::ModelKind;
 use xsdb::DebugSession;
 
-use zynq_dram::ScrapeView;
+use zynq_dram::{PhysAddr, ScrapeView};
 
 use crate::analysis::image::reconstruct_image_view;
 use crate::analysis::marker::{marker_runs_view, CORRUPTED_MARKER};
@@ -16,7 +16,7 @@ use crate::dump::{HeapView, MemoryDump};
 use crate::error::AttackError;
 use crate::metrics::{AttackOutcome, OffsetSource, StepTimingsBuilder};
 use crate::profile::ProfileDatabase;
-use crate::scrape::{scrape_heap, scrape_heap_snapshots, scrape_heap_view};
+use crate::scrape::{scrape_heap, scrape_heap_snapshots, scrape_heap_view, SnapshotScrape};
 use crate::signature::SignatureDb;
 use crate::translate::{capture_heap_translation, HeapTranslation};
 
@@ -179,6 +179,10 @@ pub struct Analysis {
     /// Where the reconstruction offset came from.
     pub image_offset_used: Option<OffsetSource>,
 }
+
+/// The last read of a multi-snapshot scrape: its physical start address
+/// and bytes.
+pub(crate) type FinalRead = (PhysAddr, Vec<u8>);
 
 /// The memory scraping attack.
 ///
@@ -576,11 +580,27 @@ impl AttackPipeline {
         kernel: &mut Kernel,
         observation: &Observation,
     ) -> Result<AttackOutcome, AttackError> {
+        self.execute_mut_with_final_read(debugger, kernel, observation)
+            .map(|(outcome, _)| outcome)
+    }
+
+    /// [`AttackPipeline::execute_mut`], also returning the last snapshot of
+    /// a [`ScrapeMode::MultiSnapshot`] scrape as its physical start address
+    /// and bytes, before any swap overlay.  The kernel's clock ends the
+    /// scrape at that snapshot's tick, so the read is what
+    /// [`zynq_dram::Dram::residue_decay_from_read`] needs.  Every other mode
+    /// returns `None`.
+    pub(crate) fn execute_mut_with_final_read(
+        &self,
+        debugger: &mut DebugSession,
+        kernel: &mut Kernel,
+        observation: &Observation,
+    ) -> Result<(AttackOutcome, Option<FinalRead>), AttackError> {
         let owner = observation.pid().owner_tag();
         let has_swap_residue = kernel.dram().swap_store().residue_bytes(Some(owner)) > 0;
         let ScrapeMode::MultiSnapshot { snapshots } = self.config.scrape_mode else {
             if !has_swap_residue {
-                return self.execute(debugger, kernel, observation);
+                return Ok((self.execute(debugger, kernel, observation)?, None));
             }
             if debugger.is_running(kernel, observation.pid()) {
                 return Err(AttackError::VictimStillRunning {
@@ -596,7 +616,7 @@ impl AttackPipeline {
             )?;
             self.read_swap_residue(kernel, observation, &mut dump);
             let scrape_elapsed = scrape_start.elapsed();
-            return Ok(self.score_dump(observation, &dump, scrape_elapsed));
+            return Ok((self.score_dump(observation, &dump, scrape_elapsed), None));
         };
         if debugger.is_running(kernel, observation.pid()) {
             return Err(AttackError::VictimStillRunning {
@@ -604,13 +624,24 @@ impl AttackPipeline {
             });
         }
         let scrape_start = Instant::now();
-        let scrape = scrape_heap_snapshots(debugger, kernel, observation.translation(), snapshots)?;
-        let mut dump = scrape.dump;
+        let SnapshotScrape {
+            mut dump,
+            mut snapshots,
+        } = scrape_heap_snapshots(debugger, kernel, observation.translation(), snapshots)?;
+        let final_read = dump
+            .page_sources()
+            .first()
+            .copied()
+            .flatten()
+            .zip(snapshots.pop());
         if has_swap_residue {
             self.read_swap_residue(kernel, observation, &mut dump);
         }
         let scrape_elapsed = scrape_start.elapsed();
-        Ok(self.score_dump(observation, &dump, scrape_elapsed))
+        Ok((
+            self.score_dump(observation, &dump, scrape_elapsed),
+            final_read,
+        ))
     }
 }
 

@@ -1132,7 +1132,7 @@ impl<'a> BootedScenario<'a> {
 
         self.play_revival_epilogue(victim_pid, &mut lifetime, &mut reclaimed)?;
 
-        let attack = match self.scenario.schedule {
+        let (attack, final_read) = match self.scenario.schedule {
             VictimSchedule::LiveTraffic { churn_rate, .. } => {
                 let scrape_start = Instant::now();
                 let mut dump = self.scrape_with_churn(
@@ -1147,8 +1147,10 @@ impl<'a> BootedScenario<'a> {
                 // as the single-sweep `execute_mut` path does.
                 self.pipeline
                     .read_swap_residue(&self.kernel, &observation, &mut dump);
-                self.pipeline
-                    .score_dump(&observation, &dump, scrape_start.elapsed())
+                let outcome = self
+                    .pipeline
+                    .score_dump(&observation, &dump, scrape_start.elapsed());
+                (outcome, None)
             }
             _ => {
                 // No mutation happens during the scrape itself: the loss
@@ -1157,15 +1159,24 @@ impl<'a> BootedScenario<'a> {
                     .iter()
                     .filter(|frame| frame_lost(&self.kernel, **frame, &reclaimed))
                     .count();
-                self.pipeline
-                    .execute_mut(&mut debugger, &mut self.kernel, &observation)?
+                self.pipeline.execute_mut_with_final_read(
+                    &mut debugger,
+                    &mut self.kernel,
+                    &observation,
+                )?
             }
         };
 
         // Residue-fidelity accounting: how much of the victim's residue the
         // remanence decay view had taken away by the time the attack ended
-        // (all zeros under the perfect model).
-        let decay = self.kernel.dram().residue_decay(Some(victim_tag));
+        // (all zeros under the perfect model).  A multi-snapshot scrape ends
+        // on its last snapshot's tick, so the victim frames that read covers
+        // are counted from it, with no second decay sweep.
+        let dram = self.kernel.dram();
+        let decay = match &final_read {
+            Some((addr, read)) => dram.residue_decay_from_read(Some(victim_tag), *addr, read),
+            None => dram.residue_decay(Some(victim_tag)),
+        };
         lifetime.residue_bytes_raw = decay.raw_bytes;
         lifetime.residue_bytes_decayed = decay.raw_bytes - decay.surviving_bytes;
         lifetime.residue_bits_flipped = decay.bits_flipped;
@@ -1817,6 +1828,74 @@ mod tests {
             reseeded.residue_lifetime().residue_bits_flipped,
             lifetime.residue_bits_flipped
         );
+    }
+
+    /// A multi-snapshot attack counts the victim's residue fidelity from its
+    /// last snapshot; the counts must equal a full decay sweep at the same
+    /// tick.  Under a randomized layout the contiguous read misses victim
+    /// frames, which are then swept on their own.
+    #[test]
+    fn residue_fidelity_from_the_last_snapshot_matches_a_full_sweep() {
+        use zynq_dram::RemanenceModel;
+        use zynq_mmu::AllocationOrder;
+        for order in [
+            AllocationOrder::Sequential,
+            AllocationOrder::Randomized { seed: 5 },
+        ] {
+            for remanence in [
+                RemanenceModel::Exponential { half_life_ticks: 4 },
+                RemanenceModel::BitFlip { rate_ppm: 120_000 },
+            ] {
+                let board = BoardConfig::tiny_for_tests()
+                    .with_remanence(remanence)
+                    .with_allocation_order(order);
+                let scenario = AttackScenario::new(board, ModelKind::SqueezeNet)
+                    .with_corrupted_input()
+                    .with_attack_config(AttackConfig {
+                        scrape_mode: ScrapeMode::MultiSnapshot { snapshots: 3 },
+                        ..AttackConfig::default()
+                    })
+                    .with_seed(17);
+                let mut booted = scenario.boot().unwrap();
+                let victim = booted.launch_victim().unwrap();
+                let victim_tag = victim.pid().owner_tag();
+                let layout = victim.layout();
+                let heap_base = booted.kernel.process(victim.pid()).unwrap().heap_base();
+                let start = booted
+                    .kernel
+                    .process(victim.pid())
+                    .unwrap()
+                    .address_space()
+                    .translate(heap_base)
+                    .unwrap();
+                let outcome = booted.run_attack(victim).unwrap();
+                let missed = booted
+                    .kernel
+                    .dram()
+                    .residue_frames()
+                    .filter(|(frame, owner)| {
+                        let addr = frame.base_address();
+                        *owner == victim_tag
+                            && (addr < start || addr.offset_from(start) >= layout.heap_len)
+                    })
+                    .count();
+                let case = format!("{order} {remanence}");
+                match order {
+                    AllocationOrder::Sequential => assert_eq!(missed, 0, "{case}"),
+                    _ => assert!(missed > 0, "{case}: the read covers every frame"),
+                }
+                let swept = booted.kernel.dram().residue_decay(Some(victim_tag));
+                let lifetime = outcome.residue_lifetime();
+                assert!(lifetime.residue_bits_flipped > 0, "{case}");
+                assert_eq!(lifetime.residue_bytes_raw, swept.raw_bytes, "{case}");
+                assert_eq!(
+                    lifetime.residue_bytes_decayed,
+                    swept.raw_bytes - swept.surviving_bytes,
+                    "{case}"
+                );
+                assert_eq!(lifetime.residue_bits_flipped, swept.bits_flipped, "{case}");
+            }
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ use crate::config::{DdrGeometry, DramConfig};
 use crate::error::DramError;
 use crate::mapping::DdrMapping;
 use crate::remanence::{
-    decay_masks, splitmix64, stripe_hash, DecayCurve, RemanenceModel, ResidueDecay,
+    decay_masks, nonzero_bytes, splitmix64, stripe_hash, DecayCurve, RemanenceModel, ResidueDecay,
 };
 use crate::stats::DramStats;
 use crate::swap::SwapStore;
@@ -1062,14 +1062,26 @@ impl Dram {
             .map(move |(idx, rec)| (FrameNumber::new(first + idx), rec.owner))
     }
 
-    /// Non-zero bytes of frame `idx` (absent stripes read as zero).
+    /// The stored pieces of frame `idx`, each with its offset in the frame
+    /// and its bytes borrowed from the stripe that holds it.  Absent stripes
+    /// read as zero and are skipped.
+    fn frame_pieces(&self, idx: u64) -> impl Iterator<Item = (usize, &[u8])> + '_ {
+        let sb = self.stripe_bytes;
+        let piece = sb.min(PAGE_SIZE);
+        (0..PAGE_SIZE / piece).filter_map(move |i| {
+            let rel = idx * PAGE_SIZE + i * piece;
+            let first = (rel % sb) as usize;
+            let stripe = self.stripe(rel / sb)?;
+            Some(((i * piece) as usize, &stripe[first..first + piece as usize]))
+        })
+    }
+
+    /// Non-zero bytes of frame `idx`, counted in place on the stripe slices
+    /// that hold it, with no copy.
     fn frame_nonzero_bytes(&self, idx: u64) -> u64 {
-        if !self.materialized.contains(&idx) {
-            return 0;
-        }
-        let mut frame = [0u8; PAGE_SIZE as usize];
-        self.read_bytes_unchecked(self.config.base() + idx * PAGE_SIZE, &mut frame);
-        frame.iter().filter(|&&b| b != 0).count() as u64
+        self.frame_pieces(idx)
+            .map(|(_, bytes)| nonzero_bytes(bytes))
+            .sum()
     }
 
     /// Total number of bytes that differ from zero in residue frames.
@@ -1089,30 +1101,75 @@ impl Dram {
     /// Measures how much of the residue the remanence decay view still
     /// exposes, optionally restricted to one owner's residue frames.
     ///
-    /// Counts inside the decay sweep of each residue frame, with no decayed
-    /// copy: `raw_bytes` counts non-zero residue bytes before decay,
-    /// `surviving_bytes` those still non-zero through the view, and
-    /// `bits_flipped` every bit the view lost.  Under
-    /// [`RemanenceModel::Perfect`] the view is the identity, so
+    /// Each residue frame is read through one decay sweep of its own and
+    /// compared with its raw bytes ([`ResidueDecay`]'s tally): `raw_bytes`
+    /// counts non-zero residue bytes before decay, `surviving_bytes` those
+    /// still non-zero through the view, and `bits_flipped` every bit the
+    /// view lost.  Under [`RemanenceModel::Perfect`] the view is the
+    /// identity, so only the raw bytes are counted (in place, no copy) and
     /// `bits_flipped` is always zero.
     pub fn residue_decay(&self, owner: Option<OwnerTag>) -> ResidueDecay {
-        let mut decay = ResidueDecay::default();
-        let mut lost = 0u64;
+        self.residue_tally(owner, self.config.base(), &[])
+    }
+
+    /// [`Dram::residue_decay`] taken from a read the caller already holds:
+    /// `read` must be what [`Dram::read_bytes`] returns for
+    /// `[addr, addr + read.len())` at the current tick (for example the
+    /// last snapshot of a multi-snapshot scrape).  Residue frames wholly
+    /// inside it are tallied by comparing their raw bytes with the read,
+    /// with no decay draws; the others take their own sweep.  The counts
+    /// are identical to [`Dram::residue_decay`]'s, which debug builds
+    /// check.
+    pub fn residue_decay_from_read(
+        &self,
+        owner: Option<OwnerTag>,
+        addr: PhysAddr,
+        read: &[u8],
+    ) -> ResidueDecay {
+        let decay = self.residue_tally(owner, addr, read);
+        debug_assert_eq!(
+            decay,
+            self.residue_decay(owner),
+            "residue tally from the read at {addr}"
+        );
+        decay
+    }
+
+    /// The counts of [`Dram::residue_decay_from_read`]; with an empty
+    /// `read`, every residue frame takes its own sweep.
+    fn residue_tally(&self, owner: Option<OwnerTag>, addr: PhysAddr, read: &[u8]) -> ResidueDecay {
         let frames = self
             .ownership
             .iter()
             .filter(|(_, rec)| !rec.live && owner.is_none_or(|o| rec.owner == o));
-        for (&idx, _) in frames {
-            decay.raw_bytes += self.frame_nonzero_bytes(idx);
-            let addr = self.config.base() + idx * PAGE_SIZE;
-            self.decay_sweep(addr, PAGE_SIZE as usize, 1, |_, raw, masks| {
-                for (&byte, &mask) in raw.iter().zip(masks) {
-                    lost += u64::from(byte != 0 && byte & mask == 0);
-                    decay.bits_flipped += u64::from((byte & !mask).count_ones());
-                }
-            });
+        if self.remanence.is_perfect() {
+            let bytes = frames.map(|(&idx, _)| self.frame_nonzero_bytes(idx)).sum();
+            return ResidueDecay {
+                raw_bytes: bytes,
+                surviving_bytes: bytes,
+                bits_flipped: 0,
+            };
         }
-        decay.surviving_bytes = decay.raw_bytes - lost;
+        let mut decay = ResidueDecay::default();
+        let mut swept = Vec::new();
+        for (&idx, _) in frames {
+            let frame_addr = self.config.base() + idx * PAGE_SIZE;
+            let in_read = (frame_addr >= addr)
+                .then(|| frame_addr.offset_from(addr) as usize)
+                .and_then(|offset| read.get(offset..offset + PAGE_SIZE as usize));
+            let seen = match in_read {
+                Some(seen) => seen,
+                None => {
+                    swept.resize(PAGE_SIZE as usize, 0);
+                    self.read_bytes_unchecked(frame_addr, &mut swept);
+                    self.apply_decay(frame_addr, std::slice::from_mut(&mut swept));
+                    &swept[..]
+                }
+            };
+            for (offset, raw) in self.frame_pieces(idx) {
+                decay.tally(raw, &seen[offset..offset + raw.len()]);
+            }
+        }
         decay
     }
 
@@ -1672,6 +1729,44 @@ mod tests {
                     0
                 };
                 prop_assert_eq!(byte, expected, "offset {}", rel);
+            }
+        }
+
+        /// The in-place frame count over stripe slices equals a count of the
+        /// frame read back, whether a stripe is smaller than a page (the
+        /// tiny board) or spans two frames (8 KiB rows).
+        #[test]
+        fn prop_frame_nonzero_bytes_counts_the_frame_read_back(
+            offsets in proptest::collection::vec(0u64..(4 * PAGE_SIZE), 0..6),
+            lens in proptest::collection::vec(1u64..700, 6..7),
+            data in proptest::collection::vec(any::<u8>(), 700..701),
+            wide_rows in any::<bool>(),
+        ) {
+            let config = if wide_rows {
+                DramConfig::custom(
+                    PhysAddr::new(0x6_0000_0000),
+                    8 * 1024 * 1024,
+                    crate::config::DdrGeometry {
+                        column_bits: 13, // 8 KiB rows: one stripe spans two frames
+                        bank_bits: 1,
+                        bank_group_bits: 1,
+                        row_bits: 8,
+                        rank_bits: 0,
+                    },
+                )
+            } else {
+                DramConfig::tiny_for_tests()
+            };
+            let mut d = Dram::new(config);
+            let base = d.config().base();
+            for (&offset, &len) in offsets.iter().zip(&lens) {
+                d.write_bytes(base + offset, &data[..len as usize], OwnerTag::new(9)).unwrap();
+            }
+            for idx in 0..5 {
+                let mut frame = vec![0u8; PAGE_SIZE as usize];
+                d.read_bytes(base + idx * PAGE_SIZE, &mut frame).unwrap();
+                let naive = frame.iter().filter(|&&b| b != 0).count() as u64;
+                prop_assert_eq!(d.frame_nonzero_bytes(idx), naive, "frame {}", idx);
             }
         }
 

@@ -297,6 +297,16 @@ pub(crate) fn decay_masks(
     }
 }
 
+/// Number of non-zero bytes in `bytes`.  Each chunk of at most 255 bytes is
+/// summed in a `u8`, which cannot overflow and which LLVM compiles to
+/// byte-wide vector compares.
+pub(crate) fn nonzero_bytes(bytes: &[u8]) -> u64 {
+    bytes
+        .chunks(255)
+        .map(|chunk| u64::from(chunk.iter().map(|&b| u8::from(b != 0)).sum::<u8>()))
+        .sum()
+}
+
 /// Residue-fidelity measurement of one owner's residue frames: how much of
 /// the raw residue the decay view still exposes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -310,6 +320,25 @@ pub struct ResidueDecay {
 }
 
 impl ResidueDecay {
+    /// Adds residue bytes `raw` as the decay view reads them, `read` (the
+    /// same length).  Decay only clears bits, so a byte survives iff it
+    /// reads non-zero, and the flipped bits are the set bits of
+    /// `raw ^ read`.
+    pub(crate) fn tally(&mut self, raw: &[u8], read: &[u8]) {
+        debug_assert_eq!(raw.len(), read.len());
+        self.raw_bytes += nonzero_bytes(raw);
+        self.surviving_bytes += nonzero_bytes(read);
+        let ((raw_words, raw_tail), (read_words, read_tail)) =
+            (raw.as_chunks::<8>(), read.as_chunks::<8>());
+        for (r, s) in raw_words.iter().zip(read_words) {
+            self.bits_flipped +=
+                u64::from((u64::from_le_bytes(*r) ^ u64::from_le_bytes(*s)).count_ones());
+        }
+        for (r, s) in raw_tail.iter().zip(read_tail) {
+            self.bits_flipped += u64::from((r ^ s).count_ones());
+        }
+    }
+
     /// Fraction of raw residue bytes still readable (1.0 when there is no
     /// residue at all — nothing existed, so nothing was lost).
     pub fn survival_rate(&self) -> f64 {
@@ -482,6 +511,40 @@ mod tests {
             let stripe_draw = stripe_hash(seed, stripe);
             proptest::prop_assert_eq!(cell_hash_in_stripe(stripe_draw, offset), pinned);
             proptest::prop_assert_eq!(cell_hash(seed, stripe, offset), pinned);
+        }
+    }
+
+    proptest::proptest! {
+        /// The chunked count equals the byte-at-a-time count at any length
+        /// and alignment, and the tally of a decayed read (a subset of the
+        /// raw bits) equals the zipped per-byte comparison.
+        #[test]
+        fn prop_nonzero_count_and_tally_match_the_naive_count(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..1200),
+            zero_below in proptest::prelude::any::<u8>(),
+            skip in 0usize..9,
+            mask_seed in proptest::prelude::any::<u64>(),
+        ) {
+            let raw: Vec<u8> = bytes
+                .iter()
+                .skip(skip)
+                .map(|&b| if b < zero_below { 0 } else { b })
+                .collect();
+            let naive = raw.iter().filter(|&&b| b != 0).count() as u64;
+            proptest::prop_assert_eq!(nonzero_bytes(&raw), naive);
+            let read: Vec<u8> = (0u64..)
+                .zip(&raw)
+                .map(|(i, &b)| b & splitmix64(mask_seed ^ i) as u8)
+                .collect();
+            let mut want = ResidueDecay::default();
+            for (&r, &s) in raw.iter().zip(&read) {
+                want.raw_bytes += u64::from(r != 0);
+                want.surviving_bytes += u64::from(s != 0);
+                want.bits_flipped += u64::from(r.count_ones() - s.count_ones());
+            }
+            let mut got = ResidueDecay::default();
+            got.tally(&raw, &read);
+            proptest::prop_assert_eq!(got, want);
         }
     }
 

@@ -22,7 +22,9 @@
 
 use crate::addr::PAGE_SIZE;
 use crate::device::OwnerTag;
-use crate::remanence::{cell_hash_in_stripe, splitmix64, stripe_hash, RemanenceModel};
+use crate::remanence::{
+    cell_hash_in_stripe, nonzero_bytes, splitmix64, stripe_hash, RemanenceModel,
+};
 
 /// Longest run one repeat token can encode.
 const MAX_RUN: usize = 128;
@@ -324,7 +326,7 @@ impl SwapStore {
         self.residue_slots()
             .filter(|(_, slot)| owner.is_none_or(|o| slot.owner == o))
             .filter_map(|(id, _)| self.read_slot(id))
-            .map(|page| page.iter().filter(|&&b| b != 0).count() as u64)
+            .map(|page| nonzero_bytes(&page))
             .sum()
     }
 

@@ -343,8 +343,7 @@ impl DpuRunner {
         // process's memory (read it back rather than trusting local copies).
         let mut image_back = vec![0u8; (w * h * 3) as usize];
         kernel.read_process_memory(pid, heap_base + layout.image_offset, &mut image_back)?;
-        let image_in_memory = Image::reconstruct(w, h, &image_back)
-            .expect("image buffer sized from model dimensions");
+        let image_in_memory = Image::from_raw(w, h, image_back);
         let logits = inference::forward(&image_in_memory, &weights);
 
         let mut logit_bytes = Vec::with_capacity(logits.len() * 4);

@@ -3,15 +3,19 @@
 //! `Kernel::read_physical_snapshots` reads every snapshot between two
 //! deferred-scrub deadlines in one `Dram::read_ticks` sweep, which draws each
 //! residue cell once and compares it with one threshold per tick, and
-//! `Dram::residue_decay` counts inside the same sweep.  The `reference`
-//! module keeps what they replaced, spelled out byte by byte from the public
-//! decay pieces: one read per snapshot with `Kernel::tick(1)` between reads,
-//! and a residue count that reads each frame raw and decayed and zips the
-//! two.  Snapshot bytes, the final clock, the scrub reports and the residue
-//! counts must match over the remanence models, snapshot counts 1..=5, read
-//! ranges (a heap, a range straddling live, residue and never-written
-//! frames, a range clamped at the window end, a stripe-larger-than-page
-//! geometry) and background-scrub deadlines around the snapshot window.
+//! `Dram::residue_decay` reads each residue frame through the same kernel.
+//! The `reference` module keeps what they replaced, spelled out byte by
+//! byte from the public decay pieces: one read per snapshot with
+//! `Kernel::tick(1)` between reads, and a residue count that reads each
+//! frame raw and decayed and zips the two.  Snapshot bytes, the final
+//! clock, the scrub reports and the residue counts must match over the
+//! remanence models, snapshot counts 1..=5, read ranges (a heap, a range
+//! straddling live, residue and never-written frames, a range clamped at
+//! the window end, a stripe-larger-than-page geometry) and background-scrub
+//! deadlines around the snapshot window.  `Dram::residue_decay_from_read`,
+//! which takes the counts from the last snapshot instead of a second sweep,
+//! must match the same reference, including on reads that miss some of the
+//! victim's frames.
 
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
@@ -188,7 +192,7 @@ struct Board {
     kernel: Kernel,
     origins: HashMap<OwnerTag, u64>,
     victim: OwnerTag,
-    ranges: [(PhysAddr, usize); 2],
+    ranges: [(PhysAddr, usize); 3],
 }
 
 fn board(model: RemanenceModel, scrub_at: Option<u64>) -> Board {
@@ -241,6 +245,9 @@ fn board(model: RemanenceModel, scrub_at: Option<u64>) -> Board {
                 straddle_start,
                 straddle_end.offset_from(straddle_start) as usize,
             ),
+            // The victim's first frame and half of its second: the residue
+            // tally from the last snapshot sweeps the second frame itself.
+            (heap.0, (PAGE_SIZE + PAGE_SIZE / 2) as usize),
         ],
     }
 }
@@ -306,6 +313,15 @@ fn check_kernel(model: RemanenceModel, scrub_at: Option<u64>) {
                 swept.dram().residue_decay(Some(victim)),
             ];
             assert_eq!(counts, want.decay, "{case}: residue counts after {n}");
+            // The last snapshot was read at the tick the sweep ends on.
+            let last = &snapshots[n - 1];
+            let from_read = [
+                swept.dram().residue_decay_from_read(None, addr, last),
+                swept
+                    .dram()
+                    .residue_decay_from_read(Some(victim), addr, last),
+            ];
+            assert_eq!(from_read, want.decay, "{case}: counts from snapshot {n}");
         }
     }
 }
@@ -376,6 +392,25 @@ fn check_dram(config: DramConfig, victim_bytes: (PhysAddr, usize), live_page: Ph
         for n in 1..=MAX_SNAPSHOTS {
             let reads = dram.read_ticks(addr, len, n).unwrap();
             assert!(reads[..] == expected[..n], "{case}: {n} ticks");
+            // Counts from the last read, whole and with its first half cut
+            // off: the cut falls inside the victim's residue in both
+            // geometries, so its first frames are swept, not read.
+            let mut last_tick = dram.clone();
+            last_tick.advance_remanence(n as u64 - 1);
+            let want = reference::residue_decay(&last_tick, &origins, Some(victim));
+            let last = &reads[n - 1];
+            for cut in [0, len / 2] {
+                assert_eq!(
+                    last_tick.residue_decay_from_read(
+                        Some(victim),
+                        addr + cut as u64,
+                        &last[cut..]
+                    ),
+                    want,
+                    "{case}: counts from the read at tick {} cut at {cut}",
+                    n - 1
+                );
+            }
         }
     }
 }
