@@ -26,7 +26,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::error::AttackError;
@@ -507,6 +507,13 @@ where
         #[cfg_attr(not(feature = "race-check"), allow(unused_variables))]
         for worker_index in 0..workers {
             scope.spawn(move || {
+                let _exit = WorkerExit {
+                    shared,
+                    condvar,
+                    abort,
+                    workers,
+                    adversary,
+                };
                 loop {
                     let claim = {
                         let mut state = shared.lock().expect("stream state poisoned");
@@ -566,15 +573,6 @@ where
                     drop(state);
                     condvar.notify_all();
                 }
-                let mut state = shared.lock().expect("stream state poisoned");
-                state.done_workers += 1;
-                if state.done_workers == workers {
-                    if let Some(adversary) = adversary {
-                        release_stash(&mut state, adversary);
-                    }
-                }
-                drop(state);
-                condvar.notify_all();
             });
         }
 
@@ -587,7 +585,7 @@ where
         let mut folded_cells = 0usize;
         let mut first_error: Option<AttackError> = None;
         'collect: for next_fold in 0..blocks {
-            let (block, resident_after) = {
+            let next = {
                 let mut state = shared.lock().expect("stream state poisoned");
                 loop {
                     if let Some(block) = state.ready.remove(&next_fold) {
@@ -595,7 +593,14 @@ where
                         let resident = state.resident_cells;
                         drop(state);
                         condvar.notify_all();
-                        break (block, resident);
+                        break Some((block, resident));
+                    }
+                    // Only a panicking worker raises `abort` while the
+                    // collector waits.  `thread::scope` re-raises that panic
+                    // once every thread has joined, so the partial summary
+                    // this leads to is never returned.
+                    if abort.load(Ordering::Relaxed) {
+                        break None;
                     }
                     assert!(
                         state.done_workers < workers || !state.stash.is_empty(),
@@ -603,6 +608,9 @@ where
                     );
                     state = condvar.wait(state).expect("stream state poisoned");
                 }
+            };
+            let Some((block, resident_after)) = next else {
+                break 'collect;
             };
             let cells = block.results.len();
             for result in block.results {
@@ -621,8 +629,7 @@ where
                 }
             }
             if first_error.is_some() {
-                abort.store(true, Ordering::Relaxed);
-                condvar.notify_all();
+                raise_abort(shared, abort, condvar);
                 break 'collect;
             }
             folded_cells += cells;
@@ -661,6 +668,44 @@ where
     #[cfg(feature = "race-check")]
     race_log.finish();
     result
+}
+
+/// Sets `abort` under the state lock, so no thread can check the flag and
+/// then park past the wake-up, and wakes every parked thread.
+fn raise_abort(shared: &Mutex<Shared>, abort: &AtomicBool, condvar: &Condvar) {
+    let state = shared.lock().unwrap_or_else(PoisonError::into_inner);
+    abort.store(true, Ordering::Relaxed);
+    drop(state);
+    condvar.notify_all();
+}
+
+/// A worker's exit, run on return and on unwind alike: counts the worker as
+/// done (the last one out releases an adversary's stash) and wakes the
+/// collector.  A panicking worker first aborts the run, so the collector
+/// and the other workers stop instead of waiting for its block forever.
+struct WorkerExit<'a> {
+    shared: &'a Mutex<Shared>,
+    condvar: &'a Condvar,
+    abort: &'a AtomicBool,
+    workers: usize,
+    adversary: Option<Adversary>,
+}
+
+impl Drop for WorkerExit<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            raise_abort(self.shared, self.abort, self.condvar);
+        }
+        let mut state = self.shared.lock().unwrap_or_else(PoisonError::into_inner);
+        state.done_workers += 1;
+        if state.done_workers == self.workers {
+            if let Some(adversary) = self.adversary {
+                release_stash(&mut state, adversary);
+            }
+        }
+        drop(state);
+        self.condvar.notify_all();
+    }
 }
 
 /// Moves an adversary's withheld blocks into the reorder buffer in the
@@ -767,6 +812,42 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(error, AttackError::EmptyCampaign));
+    }
+
+    #[test]
+    fn a_panicking_cell_fails_the_run_instead_of_hanging_it() {
+        for workers in [1, 2, 8] {
+            let (done, finished) = std::sync::mpsc::channel();
+            // The stream runs on its own thread, so a hang fails this test
+            // through the watchdog below instead of blocking the suite.
+            std::thread::spawn(move || {
+                let spec = CampaignSpec::new("tiny", BoardConfig::tiny_for_tests())
+                    .with_models(ModelKind::all().to_vec())
+                    .with_inputs(vec![InputKind::SamplePhoto, InputKind::Corrupted])
+                    .with_seed(11);
+                let outcome = std::panic::catch_unwind(|| {
+                    spec.stream_with_executor(
+                        StreamConfig::new().with_workers(workers).with_block_size(1),
+                        |cell| {
+                            assert_ne!(cell.index, 5, "deliberate panic in one cell");
+                            Ok(cell.synthetic_record())
+                        },
+                        |_| Ok(()),
+                        |_| {},
+                    )
+                });
+                let _ = done.send(outcome.is_err());
+            });
+            let panicked = finished
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|_| {
+                    panic!("{workers} workers: the stream hung after a cell panic")
+                });
+            assert!(
+                panicked,
+                "{workers} workers: the cell panic must fail the run"
+            );
+        }
     }
 
     #[test]

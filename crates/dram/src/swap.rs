@@ -11,10 +11,13 @@
 //! [`SwapStore`] models that device: page-sized slots compressed with a
 //! deterministic PackBits-style RLE codec ([`compress_page`] /
 //! [`decompress_page`]), each slot carrying its own ownership/residue tag
-//! and its own remanence decay state.  The decay clock is logical, advanced
-//! in lock-step with the DRAM device's ([`crate::Dram::advance_remanence`]),
-//! so swap residue decays replayably and worker-count independently, exactly
-//! like frame residue.
+//! and its own remanence decay state.  The encoder emits greedy longest-run
+//! tokens and finds each run with a word-wise scan for the next pair of
+//! equal adjacent bytes; slot decay draws are indexed by compressed byte, so
+//! that token stream is part of the pinned behaviour.  The decay clock is
+//! logical, advanced in lock-step with the DRAM device's
+//! ([`crate::Dram::advance_remanence`]), so swap residue decays replayably
+//! and worker-count independently, exactly like frame residue.
 
 // Lint audit: indexes and slice bounds here are established by the
 // surrounding length checks / loop invariants before use.
@@ -38,30 +41,69 @@ const MAX_LITERAL: usize = 128;
 /// times (runs of 2..=128).  Header `128` is never emitted.  The codec is
 /// deterministic (greedy longest-run), so identical pages always produce
 /// identical slots — a requirement for the golden-pinned experiments.
+///
+/// A run starts exactly where two adjacent bytes are equal, so the encoder
+/// scans for the next equal pair eight bytes at a time
+/// (`next_equal_pair`), measures the run there a word at a time (capped
+/// at 128 bytes, after which the scan resumes) and flushes everything
+/// before it as literal tokens in bulk.
 pub fn compress_page(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() / 4 + 8);
-    let mut literal_start = 0usize;
     let mut cursor = 0usize;
-    while cursor < data.len() {
-        let byte = data[cursor];
-        let mut run = 1usize;
-        while run < MAX_RUN && cursor + run < data.len() && data[cursor + run] == byte {
-            run += 1;
-        }
-        if run >= 2 {
-            flush_literals(&mut out, &data[literal_start..cursor]);
-            // `2 <= run <= MAX_RUN = 128`, so the token is in `129..=255`.
-            let token = u8::try_from(257 - run).expect("run token fits a byte");
-            out.push(token);
-            out.push(byte);
-            cursor += run;
-            literal_start = cursor;
-        } else {
-            cursor += 1;
-        }
+    while let Some(start) = next_equal_pair(data, cursor) {
+        flush_literals(&mut out, &data[cursor..start]);
+        let run = run_len(&data[start..]);
+        // `2 <= run <= MAX_RUN = 128`, so the token is in `129..=255`.
+        let token = u8::try_from(257 - run).expect("run token fits a byte");
+        out.push(token);
+        out.push(data[start]);
+        cursor = start + run;
     }
-    flush_literals(&mut out, &data[literal_start..]);
+    flush_literals(&mut out, &data[cursor..]);
     out
+}
+
+/// The eight bytes at `at` as one little-endian word.
+fn word_at(data: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(data[at..at + 8].try_into().expect("eight-byte window"))
+}
+
+/// The first index `j >= from` with `data[j] == data[j + 1]`.
+///
+/// Word-wise: the XOR of the eight bytes at `i` with the eight at `i + 1`
+/// has a zero byte exactly at each equal pair, and the has-zero-byte test
+/// flags the lowest such byte exactly (a borrow can only set false flags
+/// above a true zero).  The last few bytes are scanned one at a time.
+fn next_equal_pair(data: &[u8], from: usize) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    let mut i = from;
+    while i + 9 <= data.len() {
+        let x = word_at(data, i) ^ word_at(data, i + 1);
+        let zero = x.wrapping_sub(ONES) & !x & HIGHS;
+        if zero != 0 {
+            return Some(i + (zero.trailing_zeros() / 8) as usize);
+        }
+        i += 8;
+    }
+    (i..data.len().saturating_sub(1)).find(|&j| data[j] == data[j + 1])
+}
+
+/// Length of the run of `data[0]` that opens `data`, capped at `MAX_RUN`:
+/// whole words first, then the bytes of the last partial word.
+fn run_len(data: &[u8]) -> usize {
+    let limit = data.len().min(MAX_RUN);
+    let byte = data[0];
+    let pattern = u64::from_le_bytes([byte; 8]);
+    let mut n = 0usize;
+    while n + 8 <= limit {
+        let diff = word_at(data, n) ^ pattern;
+        if diff != 0 {
+            return n + (diff.trailing_zeros() / 8) as usize;
+        }
+        n += 8;
+    }
+    n + data[n..limit].iter().take_while(|&&b| b == byte).count()
 }
 
 fn flush_literals(out: &mut Vec<u8>, mut literals: &[u8]) {
@@ -223,11 +265,14 @@ impl SwapStore {
     /// live slot owned by `owner`, returning the slot id.
     pub fn swap_out(&mut self, owner: OwnerTag, page_index: u64, bytes: &[u8]) -> usize {
         debug_assert!(bytes.len() as u64 <= PAGE_SIZE, "swap slots are page-sized");
+        // A slot lives as long as the store, so it keeps no spare capacity.
+        let mut compressed = compress_page(bytes);
+        compressed.shrink_to_fit();
         let slot = SwapSlot {
             owner,
             live: true,
             page_index,
-            compressed: compress_page(bytes),
+            compressed,
             raw_len: bytes.len(),
             retired_tick: 0,
             scrubbed: false,
@@ -251,15 +296,16 @@ impl SwapStore {
         retired
     }
 
-    /// Destroys the data of every slot owned by `owner` (live or residue):
-    /// the swap-scrub sanitizers.  Returns `(slots_scrubbed, bytes_scrubbed)`
-    /// where the byte count is the uncompressed page bytes destroyed.
+    /// Destroys and frees the data of every slot owned by `owner` (live or
+    /// residue): the swap-scrub sanitizers.  Returns `(slots_scrubbed,
+    /// bytes_scrubbed)` where the byte count is the uncompressed page bytes
+    /// destroyed.
     pub fn scrub_owner(&mut self, owner: OwnerTag) -> (usize, u64) {
         let mut slots = 0usize;
         let mut bytes = 0u64;
         for slot in &mut self.slots {
             if slot.owner == owner && !slot.scrubbed {
-                slot.compressed.clear();
+                slot.compressed = Vec::new();
                 slot.scrubbed = true;
                 slots += 1;
                 bytes += slot.raw_len as u64;
@@ -340,6 +386,79 @@ impl SwapStore {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The byte-at-a-time encoder the word-wise pair scan replaced, kept as
+    /// the reference: slot decay draws are indexed by compressed byte, so
+    /// the token stream itself must not change.
+    fn bytewise_compress_page(data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut literal_start = 0usize;
+        let mut cursor = 0usize;
+        while cursor < data.len() {
+            let byte = data[cursor];
+            let mut run = 1usize;
+            while run < MAX_RUN && cursor + run < data.len() && data[cursor + run] == byte {
+                run += 1;
+            }
+            if run >= 2 {
+                flush_literals(&mut out, &data[literal_start..cursor]);
+                out.push(u8::try_from(257 - run).unwrap());
+                out.push(byte);
+                cursor += run;
+                literal_start = cursor;
+            } else {
+                cursor += 1;
+            }
+        }
+        flush_literals(&mut out, &data[literal_start..]);
+        out
+    }
+
+    /// Bytes `i` with no two adjacent equal (and never `0xEE`).
+    fn distinct_bytes(len: usize) -> impl Iterator<Item = u8> {
+        (0..len).map(|i| u8::try_from(i % 200).unwrap())
+    }
+
+    #[test]
+    fn encoder_matches_reference_for_a_pair_at_every_word_position() {
+        // One equal pair at every position of pages up to 40 bytes long,
+        // including the last two bytes and lengths 1, 8 and 9, where the
+        // word scan hands over to the byte tail.
+        for len in 0..=40usize {
+            let plain: Vec<u8> = distinct_bytes(len).collect();
+            assert_eq!(compress_page(&plain), bytewise_compress_page(&plain));
+            for pair in 0..len.saturating_sub(1) {
+                let mut data = plain.clone();
+                data[pair + 1] = data[pair];
+                assert_eq!(
+                    compress_page(&data),
+                    bytewise_compress_page(&data),
+                    "len {len}, pair at {pair}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn encoder_matches_reference_for_runs_across_the_cap_and_word_edges() {
+        // Runs of 1..=300 bytes (straddling the 128-byte cap twice) starting
+        // at every offset of a word, followed by 0..=9 literal bytes.
+        for offset in 0..=9usize {
+            for run in 1..=300usize {
+                for tail in 0..=9usize {
+                    let data: Vec<u8> = distinct_bytes(offset)
+                        .chain(std::iter::repeat_n(0xEE, run))
+                        .chain(distinct_bytes(tail).map(|b| b + 1))
+                        .collect();
+                    assert_eq!(
+                        compress_page(&data),
+                        bytewise_compress_page(&data),
+                        "offset {offset}, run {run}, tail {tail}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn run_tokens_round_trip_at_both_length_boundaries() {
@@ -465,6 +584,42 @@ mod tests {
         fn prop_codec_round_trips(data in proptest::collection::vec(any::<u8>(), 0..1024)) {
             let packed = compress_page(&data);
             prop_assert_eq!(decompress_page(&packed, data.len()), data);
+        }
+
+        #[test]
+        fn prop_encoder_matches_bytewise_reference(data in proptest::collection::vec(any::<u8>(), 0usize..4097)) {
+            prop_assert_eq!(compress_page(&data), bytewise_compress_page(&data));
+        }
+
+        #[test]
+        fn prop_encoder_matches_reference_on_low_alphabets(
+            alphabet in 0usize..3,
+            raw in proptest::collection::vec(any::<u8>(), 0usize..4097),
+        ) {
+            // 2, 3 and 16 symbols: short runs everywhere, often several per word.
+            let symbols = [2u8, 3, 16][alphabet];
+            let data: Vec<u8> = raw.iter().map(|b| b % symbols).collect();
+            prop_assert_eq!(compress_page(&data), bytewise_compress_page(&data));
+        }
+
+        #[test]
+        fn prop_encoder_matches_reference_on_run_heavy_pages(
+            runs in proptest::collection::vec(any::<u64>(), 1usize..64),
+            len in 0usize..4097,
+        ) {
+            // Each draw is one run: a byte from a 4-symbol alphabet (so
+            // neighbouring runs sometimes merge) and a length that is often
+            // at the 128-byte cap or an 8-byte word edge.
+            const EDGES: [usize; 12] = [1, 2, 7, 8, 9, 15, 16, 127, 128, 129, 256, 257];
+            let mut data = Vec::new();
+            for draw in runs {
+                let byte = (draw & 3) as u8;
+                let pick = ((draw >> 8) % 24) as usize;
+                let run = EDGES.get(pick).copied().unwrap_or((draw >> 16) as usize % 300 + 1);
+                data.extend(std::iter::repeat_n(byte, run));
+            }
+            data.truncate(len);
+            prop_assert_eq!(compress_page(&data), bytewise_compress_page(&data));
         }
 
         #[test]

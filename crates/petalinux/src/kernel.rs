@@ -566,7 +566,9 @@ impl Kernel {
     /// first) into the compressed swap store, per the board's memory-pressure
     /// knob.  Copy-only: the frames stay mapped and are freed/sanitized by
     /// the normal termination path — the compressed slots are a second
-    /// substrate that frame scrubbing never touches.
+    /// substrate that frame scrubbing never touches.  One page buffer serves
+    /// every page of the call: each page is read into it, then compressed
+    /// into its own slot.
     fn swap_out_cold_pages(&mut self, pid: Pid) -> Result<(), KernelError> {
         let pressure = u64::from(self.config.swap_pressure());
         if pressure == 0 {
@@ -586,8 +588,8 @@ impl Kernel {
             }
         }
         let owner = pid.owner_tag();
+        let mut buf = vec![0u8; PAGE_SIZE as usize];
         for (index, pa) in pages {
-            let mut buf = vec![0u8; PAGE_SIZE as usize];
             self.dram.read_bytes(pa, &mut buf)?;
             self.dram.swap_store_mut().swap_out(owner, index, &buf);
         }

@@ -23,9 +23,9 @@
 // derived from validated window-relative coordinates.
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
-use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use petalinux_sim::{Kernel, KernelError, Pid, UserId};
 use zynq_dram::PAGE_SIZE;
@@ -159,7 +159,7 @@ fn load_heap(model: ModelKind, input: &Image) -> (Vec<u8>, HeapLayout, ForwardWe
 pub struct LaunchedRun {
     pid: Pid,
     model: ModelKind,
-    input: Image,
+    input: Arc<Image>,
     layout: HeapLayout,
     logits: Vec<f32>,
 }
@@ -213,7 +213,7 @@ impl LaunchedRun {
 pub struct CompletedRun {
     pid: Pid,
     model: ModelKind,
-    input: Image,
+    input: Arc<Image>,
     layout: HeapLayout,
     logits: Vec<f32>,
 }
@@ -270,8 +270,10 @@ impl CompletedRun {
 #[derive(Debug, Clone)]
 pub struct DpuRunner {
     model: ModelKind,
-    /// `None` runs the sample photo, which is only built at launch.
-    input: Option<Image>,
+    /// `None` runs the sample photo, which is only built at launch.  Shared
+    /// with every run launched from this runner, so a launch never copies
+    /// the image.
+    input: Option<Arc<Image>>,
     image_argument: String,
 }
 
@@ -288,7 +290,7 @@ impl DpuRunner {
 
     /// Replaces the input image (e.g. with the corrupted or sentinel image).
     pub fn with_input(mut self, input: Image) -> Self {
-        self.input = Some(input);
+        self.input = Some(Arc::new(input));
         self
     }
 
@@ -306,7 +308,7 @@ impl DpuRunner {
     /// The input image this runner will load, or `None` for the sample
     /// photo at the model's input dimensions.
     pub fn input_image(&self) -> Option<&Image> {
-        self.input.as_ref()
+        self.input.as_deref()
     }
 
     /// Spawns the victim process, loads the model and image into its heap,
@@ -331,8 +333,8 @@ impl DpuRunner {
         // The default photo is built only by the launch that uses it.
         let (w, h) = self.model.input_dims();
         let input = match &self.input {
-            Some(input) => Cow::Borrowed(input),
-            None => Cow::Owned(Image::sample_photo(w, h)),
+            Some(input) => Arc::clone(input),
+            None => Arc::new(Image::sample_photo(w, h)),
         };
         let (bytes, layout, weights) = load_heap(self.model, &input);
         kernel.grow_heap(pid, layout.heap_len)?;
@@ -355,7 +357,7 @@ impl DpuRunner {
         Ok(LaunchedRun {
             pid,
             model: self.model,
-            input: input.into_owned(),
+            input,
             layout,
             logits,
         })
