@@ -218,7 +218,7 @@ mod tests {
         // probe-only of the other.
         let full = weights::quantized_weights(ModelKind::SqueezeNet);
         let probe_only = &weights::quantized_weights(ModelKind::YoloV3)[..PROBE_LEN];
-        let mut bytes = full.clone();
+        let mut bytes = full.to_vec();
         bytes.extend_from_slice(probe_only);
         let dump = MemoryDump::from_contiguous(VirtAddr::new(0), PhysAddr::new(0), bytes);
         let matches = match_weights(&dump);

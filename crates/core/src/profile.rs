@@ -133,8 +133,8 @@ impl Profiler {
 
         // The attacker knows the public weights, so it can also locate the
         // weight blob by searching for its first bytes.
-        let prefix = weights::quantized_prefix::<32>(model);
-        let weights_offset = dump.as_view().find(&prefix).map(|offset| offset as u64);
+        let prefix = &weights::quantized_weights(model)[..32];
+        let weights_offset = dump.as_view().find(prefix).map(|offset| offset as u64);
 
         Ok(ModelProfile {
             model,

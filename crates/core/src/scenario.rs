@@ -23,6 +23,7 @@
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use std::time::Instant;
 
 use petalinux_sim::{BoardConfig, Kernel, Pid, UserId};
@@ -475,7 +476,8 @@ pub struct AttackScenario {
     board: BoardConfig,
     model: ModelKind,
     /// `None` is the sample photo, left to the runner to build at launch.
-    input: Option<Image>,
+    /// Shared with every victim launch, so a cell never copies it.
+    input: Option<Arc<Image>>,
     victim_user: UserId,
     attacker_user: UserId,
     attack_config: AttackConfig,
@@ -516,13 +518,13 @@ impl AttackScenario {
     /// Uses the paper's corrupted (`0xFFFFFF`) image as the victim input.
     pub fn with_corrupted_input(mut self) -> Self {
         let (w, h) = self.model.input_dims();
-        self.input = Some(Image::corrupted(w, h));
+        self.input = Some(Arc::new(Image::corrupted(w, h)));
         self
     }
 
     /// Uses an explicit victim input image.
-    pub fn with_input(mut self, input: Image) -> Self {
-        self.input = Some(input);
+    pub fn with_input(mut self, input: impl Into<Arc<Image>>) -> Self {
+        self.input = Some(input.into());
         self
     }
 
@@ -870,13 +872,16 @@ impl<'a> BootedScenario<'a> {
 
             // A revived process sees its freshly allocated heap *before*
             // writing anything — exactly the read that inherits residue.
-            let mut inherited = vec![0u8; layout.heap_len as usize];
-            self.kernel.read_process_memory(pid, heap, &mut inherited)?;
+            // Only the first successor's inheritance is measured; the read
+            // takes no tick, so later successors skip it.
             if i == 0 {
+                let mut inherited = vec![0u8; layout.heap_len as usize];
+                self.kernel.read_process_memory(pid, heap, &mut inherited)?;
+                let zero_page = [0u8; PAGE_SIZE as usize];
                 lifetime.revived_heap_frames = (layout.heap_len / PAGE_SIZE) as usize;
                 lifetime.revival_inherited_frames = inherited
                     .chunks(PAGE_SIZE as usize)
-                    .filter(|page| page.iter().any(|&b| b != 0))
+                    .filter(|page| **page != zero_page[..page.len()])
                     .count();
             }
             reclaimed.extend(heap_frames(&self.kernel, pid)?);
@@ -1065,7 +1070,7 @@ impl<'a> BootedScenario<'a> {
     pub fn launch_victim(&mut self) -> Result<LaunchedRun, AttackError> {
         let mut runner = DpuRunner::new(self.scenario.model);
         if let Some(input) = &self.scenario.input {
-            runner = runner.with_input(input.clone());
+            runner = runner.with_input(Arc::clone(input));
         }
         runner
             .launch(&mut self.kernel, self.scenario.victim_user)

@@ -31,12 +31,11 @@ pub(crate) const CONV_WEIGHTS: usize = CONV_FILTERS * KERNEL * KERNEL;
 /// The computation is deterministic: identical `(model, input)` pairs give
 /// identical logits.
 pub fn run_inference(model: ModelKind, input: &Image) -> Vec<f32> {
-    forward(input, &weights::walk(model, |_| {}))
+    forward(input, &weights::zoo(model).forward)
 }
 
-/// The forward pass over weights already captured from the model's weight
-/// stream: convolution weights from the front of the blob, classifier
-/// weights from the back.
+/// The forward pass over a model's captured weights: convolution weights
+/// from the front of the blob, classifier weights from the back.
 pub(crate) fn forward(input: &Image, weights: &ForwardWeights) -> Vec<f32> {
     let gray = downsample_grayscale(input, WORKING_DIM);
 

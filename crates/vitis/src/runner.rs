@@ -9,14 +9,15 @@
 //! image bytes at a profiled offset — is placed by this runner, the same way
 //! the real runtime places it on the ZCU104.
 //!
-//! A launch does only the work its residue needs.  The container is
-//! serialized straight into the heap buffer, and its weight blob is generated
-//! there in place.  The same single walk of the model's weight stream
-//! captures the few floats the forward pass reads, so no `XModel`, weight or
-//! float blob is built on the side.  The default sample photo is built only
-//! when a launch actually uses it.  Nothing is cached between launches: each
-//! one builds its heap image from scratch, in one buffer, written once and
-//! then read back.
+//! A launch does only the work its residue needs.  A model's serialized
+//! container and the few floats its forward pass reads are constants of the
+//! model, built once per process in the [`weights`] table; a launch copies
+//! the container into its heap buffer and runs the forward pass on the
+//! borrowed floats, so the weight stream is never walked per launch.  What
+//! is left is per-launch work: the default sample photo (built only when a
+//! launch uses it), one heap buffer written to the process in a single
+//! call, the image read back, the forward pass and the logits written to
+//! the output tensor.
 
 // Lint audit: address arithmetic here is bounds-checked against the
 // DRAM window before any narrowing cast or direct index; offsets are
@@ -33,8 +34,7 @@ use zynq_dram::PAGE_SIZE;
 use crate::image::Image;
 use crate::inference;
 use crate::model::ModelKind;
-use crate::weights::ForwardWeights;
-use crate::xmodel::Head;
+use crate::weights::{self, ForwardWeights};
 
 /// Alignment applied to each section of the heap image.
 const SECTION_ALIGN: u64 = 64;
@@ -107,12 +107,12 @@ pub fn heap_image(model: ModelKind, input: &Image) -> (Vec<u8>, HeapLayout) {
     (bytes, layout)
 }
 
-/// [`heap_image`], plus the weights the forward pass reads, captured from the
-/// one walk of the weight stream that writes the blob into the heap.
-fn load_heap(model: ModelKind, input: &Image) -> (Vec<u8>, HeapLayout, ForwardWeights) {
-    let head = Head::new(model);
+/// [`heap_image`], plus the model's forward-pass weights from the same
+/// table entry as its container.
+fn load_heap(model: ModelKind, input: &Image) -> (Vec<u8>, HeapLayout, &'static ForwardWeights) {
+    let zoo = weights::zoo(model);
     let weights_len = model.simulated_param_count();
-    let container_len = head.serialized_len(weights_len as usize) as u64;
+    let container_len = zoo.container.len() as u64;
     let image_bytes = input.as_bytes();
 
     let xmodel_offset = HEADER_LEN;
@@ -134,8 +134,8 @@ fn load_heap(model: ModelKind, input: &Image) -> (Vec<u8>, HeapLayout, ForwardWe
     bytes[16..24].copy_from_slice(&0x0000_aaaa_f171_1270u64.to_le_bytes());
     bytes[24..32].copy_from_slice(&container_len.to_le_bytes());
 
-    let forward = head
-        .write_into(&mut bytes[xmodel_offset as usize..(xmodel_offset + container_len) as usize]);
+    bytes[xmodel_offset as usize..(xmodel_offset + container_len) as usize]
+        .copy_from_slice(&zoo.container);
     let copy_len = image_bytes.len().min(nominal_image_len as usize);
     bytes[image_offset as usize..image_offset as usize + copy_len]
         .copy_from_slice(&image_bytes[..copy_len]);
@@ -150,7 +150,7 @@ fn load_heap(model: ModelKind, input: &Image) -> (Vec<u8>, HeapLayout, ForwardWe
             output_offset,
             heap_len,
         },
-        forward,
+        &zoo.forward,
     )
 }
 
@@ -289,8 +289,9 @@ impl DpuRunner {
     }
 
     /// Replaces the input image (e.g. with the corrupted or sentinel image).
-    pub fn with_input(mut self, input: Image) -> Self {
-        self.input = Some(Arc::new(input));
+    /// An `Arc<Image>` is shared as it is, not copied.
+    pub fn with_input(mut self, input: impl Into<Arc<Image>>) -> Self {
+        self.input = Some(input.into());
         self
     }
 
@@ -346,7 +347,7 @@ impl DpuRunner {
         let mut image_back = vec![0u8; (w * h * 3) as usize];
         kernel.read_process_memory(pid, heap_base + layout.image_offset, &mut image_back)?;
         let image_in_memory = Image::from_raw(w, h, image_back);
-        let logits = inference::forward(&image_in_memory, &weights);
+        let logits = inference::forward(&image_in_memory, weights);
 
         let mut logit_bytes = Vec::with_capacity(logits.len() * 4);
         for logit in &logits {

@@ -5,30 +5,30 @@
 //! generated from a xorshift stream seeded by the model name, so every run of
 //! a given model places bit-identical weights at the same heap offsets, which
 //! is the determinism the paper's offline profiling exploits.
+//!
+//! Because the stream is a constant of the model, it is walked once per
+//! process: the first use of any model builds one immutable table holding,
+//! for every zoo model, its serialized `.xmodel` container (header strings,
+//! then the quantized blob as its tail) and the few floats the forward pass
+//! reads, captured in the same walk.  Launches, inference, profiling and
+//! weight fingerprinting all borrow from that table, so a launch copies its
+//! container instead of regenerating it.
 
 // Lint audit: address arithmetic here is bounds-checked against the
 // DRAM window before any narrowing cast or direct index; offsets are
 // derived from validated window-relative coordinates.
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
+use std::sync::OnceLock;
+
 use crate::inference::{CONV_FILTERS, CONV_WEIGHTS};
 use crate::model::ModelKind;
+use crate::xmodel::Head;
 
 /// Quantized (int8) weights for `model`, `simulated_param_count()` bytes long.
-pub fn quantized_weights(model: ModelKind) -> Vec<u8> {
-    states(model).map(quantize).collect()
-}
-
-/// The first `N` bytes of [`quantized_weights`], without generating the
-/// rest of the blob or allocating.
-///
-/// # Panics
-///
-/// Panics if `N` exceeds the model's `simulated_param_count()`, which is at
-/// least 256.
-pub fn quantized_prefix<const N: usize>(model: ModelKind) -> [u8; N] {
-    let mut states = states(model);
-    [0u8; N].map(|_| quantize(states.next().expect("prefix longer than the weight blob")))
+pub fn quantized_weights(model: ModelKind) -> &'static [u8] {
+    let container = &zoo(model).container;
+    &container[container.len() - model.simulated_param_count() as usize..]
 }
 
 /// Floating-point weights for `model`, scaled to roughly unit variance.
@@ -49,9 +49,37 @@ pub(crate) struct ForwardWeights {
     pub(crate) classifier: Vec<f32>,
 }
 
+/// One zoo model's entry in the per-process table.
+#[derive(Debug)]
+pub(crate) struct ZooModel {
+    /// The serialized `.xmodel` container; the quantized weight blob is its
+    /// tail.
+    pub(crate) container: Vec<u8>,
+    /// The forward-pass weights, captured from the walk that wrote the blob.
+    pub(crate) forward: ForwardWeights,
+}
+
+/// `model`'s container and forward weights.  The first call builds every
+/// model's entry, in one walk of each weight stream; later calls borrow.
+pub(crate) fn zoo(model: ModelKind) -> &'static ZooModel {
+    static TABLE: OnceLock<[ZooModel; 8]> = OnceLock::new();
+    let table = TABLE.get_or_init(|| ModelKind::all().map(build));
+    // `ModelKind::all()` lists the models in declaration order.
+    &table[model as usize]
+}
+
+fn build(model: ModelKind) -> ZooModel {
+    let head = Head::new(model);
+    let blob_len = model.simulated_param_count() as usize;
+    let mut container = Vec::with_capacity(head.serialized_len(blob_len));
+    head.write(blob_len, |bytes| container.extend_from_slice(bytes));
+    let forward = walk(model, |byte| container.push(byte));
+    ZooModel { container, forward }
+}
+
 /// Walks `model`'s weight stream once: hands every quantized byte to
 /// `each_byte`, in order, and captures the [`ForwardWeights`] on the way.
-pub(crate) fn walk(model: ModelKind, mut each_byte: impl FnMut(u8)) -> ForwardWeights {
+fn walk(model: ModelKind, mut each_byte: impl FnMut(u8)) -> ForwardWeights {
     let count = model.simulated_param_count() as usize;
     let table_len = model.output_classes() * CONV_FILTERS;
     let table_start = count.saturating_sub(table_len);
@@ -171,10 +199,26 @@ mod tests {
                 .collect();
             assert_eq!(forward.classifier, expected, "{model}");
         }
-        assert_eq!(
-            quantized_prefix::<32>(ModelKind::Vgg16)[..],
-            quantized_weights(ModelKind::Vgg16)[..32]
-        );
+    }
+
+    #[test]
+    fn the_table_holds_a_fresh_walk_of_every_model() {
+        let bits = |floats: &[f32]| floats.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for model in ModelKind::all() {
+            let (entry, fresh) = (zoo(model), build(model));
+            assert!(
+                entry.container == fresh.container,
+                "{model}: container differs"
+            );
+            let forward = &fresh.forward;
+            assert_eq!(bits(&entry.forward.conv), bits(&forward.conv), "{model}");
+            assert_eq!(
+                bits(&entry.forward.classifier),
+                bits(&forward.classifier),
+                "{model}"
+            );
+            assert!(std::ptr::eq(zoo(model), entry), "{model}: built twice");
+        }
     }
 
     #[test]

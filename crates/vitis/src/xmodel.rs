@@ -18,7 +18,7 @@ use std::error::Error;
 use std::fmt;
 
 use crate::model::ModelKind;
-use crate::weights::{self, ForwardWeights};
+use crate::weights;
 
 /// Magic bytes at the start of a serialized container.
 pub const XMODEL_MAGIC: &[u8; 4] = b"XMOD";
@@ -99,7 +99,7 @@ impl XModel {
     pub fn build(kind: ModelKind) -> Self {
         XModel {
             head: Head::new(kind),
-            weights: weights::quantized_weights(kind),
+            weights: weights::quantized_weights(kind).to_vec(),
         }
     }
 
@@ -199,9 +199,9 @@ impl XModel {
 /// A container without its weight blob: the model, its string table and its
 /// tensor descriptors.
 ///
-/// The DPU runner serializes a zoo model's container straight into the
-/// victim's heap from this, generating the weights in place
-/// ([`Head::write_into`]), so no [`XModel`] is built per launch.
+/// The per-process weight table ([`weights`]) serializes each zoo model's
+/// container from this once, appending the blob as it walks the weight
+/// stream, so no [`XModel`] is built per launch.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Head {
     kind: ModelKind,
@@ -257,26 +257,9 @@ impl Head {
         len
     }
 
-    /// Serializes the zoo model's whole container into `out`, which must be
-    /// exactly `serialized_len(simulated_param_count)` bytes long, generating
-    /// the weight blob in place.  Returns the forward-pass weights captured
-    /// from the same walk of the weight stream.
-    pub(crate) fn write_into(&self, out: &mut [u8]) -> ForwardWeights {
-        let mut pos = 0;
-        let blob_len = self.kind.simulated_param_count() as usize;
-        self.write(blob_len, |bytes| {
-            out[pos..pos + bytes.len()].copy_from_slice(bytes);
-            pos += bytes.len();
-        });
-        let mut blob = out[pos..].iter_mut();
-        weights::walk(self.kind, |byte| {
-            *blob.next().expect("buffer sized by serialized_len") = byte;
-        })
-    }
-
     /// Emits the serialized bytes that precede the weight blob, ending with
     /// the blob's length field.
-    fn write(&self, weights_len: usize, mut put: impl FnMut(&[u8])) {
+    pub(crate) fn write(&self, weights_len: usize, mut put: impl FnMut(&[u8])) {
         put(XMODEL_MAGIC);
         put(&XMODEL_VERSION.to_le_bytes());
         let name = self.kind.name().as_bytes();

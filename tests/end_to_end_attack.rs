@@ -158,5 +158,5 @@ fn weights_are_present_in_the_scraped_dump() {
     let recovered = dump
         .slice(weights_offset, expected.len())
         .expect("dump covers the weight blob");
-    assert_eq!(recovered, &expected[..], "weight blob mismatch");
+    assert_eq!(recovered, expected, "weight blob mismatch");
 }
