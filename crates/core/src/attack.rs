@@ -393,7 +393,7 @@ impl AttackPipeline {
     }
 
     /// Step 4 over a borrowed [`ScrapeView`] — the same analysis, run
-    /// directly against the bank arenas with no owned dump in between
+    /// directly against the DRAM arena with no owned dump in between
     /// ([`AttackPipeline::analyze`] delegates here, so both paths share one
     /// algorithm).
     pub fn analyze_view(&self, view: &ScrapeView<'_>) -> Analysis {
@@ -517,7 +517,7 @@ impl AttackPipeline {
     ///
     /// When the board's remanence model permits borrowed reads (the default
     /// perfect model), the scrape-and-analyse hot path runs zero-copy: the
-    /// heap is borrowed straight out of the DRAM bank arenas as a
+    /// heap is borrowed straight out of the DRAM arena as a
     /// [`HeapView`] and analysed in place.  Otherwise it falls back to the
     /// owned [`MemoryDump`].  Outcome and audit trail are identical either
     /// way.
@@ -564,7 +564,7 @@ impl AttackPipeline {
     /// This entry point also drains the compressed-swap channel: when the
     /// victim left residue slots in the swap store
     /// ([`AttackPipeline::read_swap_residue`]), the scrape takes the
-    /// owned-dump path (the zero-copy view borrows the bank arenas and
+    /// owned-dump path (the zero-copy view borrows the DRAM arena and
     /// cannot be overlaid) and the decompressed slots fill the bytes the
     /// DRAM scrape missed before scoring.
     ///

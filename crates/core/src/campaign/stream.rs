@@ -489,23 +489,11 @@ where
     let condvar = Condvar::new();
     let abort = AtomicBool::new(false);
 
-    // Shadow log (race-check builds only): every block claim as a
-    // `(worker, cell-index interval)` record, asserted cross-worker disjoint
-    // once the pool and collector have drained — the proof that the
-    // claim-on-demand fan-out hands every cell to exactly one worker.
-    #[cfg(feature = "race-check")]
-    let race_log = zynq_dram::racecheck::AccessLog::new("campaign::stream block claims");
-
-    let result = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let shared = &shared;
         let condvar = &condvar;
         let abort = &abort;
-        #[cfg(feature = "race-check")]
-        let race_log = &race_log;
-        // The worker index only feeds the race-check shadow log; the claim
-        // protocol itself is index-blind.
-        #[cfg_attr(not(feature = "race-check"), allow(unused_variables))]
-        for worker_index in 0..workers {
+        for _ in 0..workers {
             scope.spawn(move || {
                 let _exit = WorkerExit {
                     shared,
@@ -541,10 +529,6 @@ where
                     let Some((index, first_cell, cells)) = claim else {
                         break;
                     };
-                    // Interval units: cell indexes.  Each claimed block must
-                    // be private to this worker.
-                    #[cfg(feature = "race-check")]
-                    race_log.record(worker_index, first_cell as u64..(first_cell + cells) as u64);
                     let block_started = Instant::now();
                     let mut results = Vec::with_capacity(cells);
                     for offset in 0..cells {
@@ -582,7 +566,7 @@ where
         // completion order the pool produces.
         let mut accumulator = CampaignAccumulator::new();
         let mut groups: Vec<GroupSummary> = Vec::with_capacity(blocks);
-        let mut folded_cells = 0usize;
+        let mut ledger = FoldLedger::default();
         let mut first_error: Option<AttackError> = None;
         'collect: for next_fold in 0..blocks {
             let next = {
@@ -613,6 +597,7 @@ where
                 break 'collect;
             };
             let cells = block.results.len();
+            ledger.fold(block.index, block.first_cell, cells);
             for result in block.results {
                 match result {
                     Ok(record) => {
@@ -632,7 +617,6 @@ where
                 raise_abort(shared, abort, condvar);
                 break 'collect;
             }
-            folded_cells += cells;
             let group = GroupSummary {
                 block: block.index,
                 first_cell: block.first_cell,
@@ -645,7 +629,7 @@ where
                 block: group.block,
                 first_cell: group.first_cell,
                 cells,
-                folded_cells,
+                folded_cells: ledger.cells,
                 cells_total,
                 completed: totals.completed,
                 blocked: totals.blocked,
@@ -659,15 +643,62 @@ where
         if let Some(error) = first_error {
             return Err(error);
         }
+        // A panicking worker ends the fold early; `thread::scope` re-raises
+        // its panic instead of returning this summary.
+        if !abort.load(Ordering::Relaxed) {
+            ledger.finish(cells_total);
+        }
         let peak = shared
             .lock()
             .expect("stream state poisoned")
             .peak_resident_cells;
         Ok(accumulator.into_summary(workers, block_size, peak, groups))
-    });
-    #[cfg(feature = "race-check")]
-    race_log.finish();
-    result
+    })
+}
+
+/// The collector's exactly-once audit of the block claims: every block
+/// index is folded once, in claim order, each block starting at the cell
+/// where the previous one ended, and the folded cells add up to the
+/// matrix.  Claims come from `next_block` under the state mutex, so this
+/// costs one comparison per block.
+#[derive(Debug, Default)]
+struct FoldLedger {
+    /// Blocks folded so far (the index the next block must carry).
+    blocks: usize,
+    /// Cells folded so far (the first cell the next block must carry).
+    cells: usize,
+}
+
+impl FoldLedger {
+    /// Records one folded block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block is not the next in claim order, or does not
+    /// start where the previous block ended (a duplicated or dropped block).
+    fn fold(&mut self, index: usize, first_cell: usize, cells: usize) {
+        assert!(
+            index == self.blocks && first_cell == self.cells,
+            "block {index} at cell {first_cell} folded where block {} at cell {} was due",
+            self.blocks,
+            self.cells
+        );
+        self.blocks += 1;
+        self.cells += cells;
+    }
+
+    /// Checks that the folded blocks covered all `cells_total` cells.
+    ///
+    /// # Panics
+    ///
+    /// Panics when they did not.
+    fn finish(&self, cells_total: usize) {
+        assert_eq!(
+            self.cells, cells_total,
+            "the stream folded {} of {cells_total} cells",
+            self.cells
+        );
+    }
 }
 
 /// Sets `abort` under the state lock, so no thread can check the flag and
@@ -848,6 +879,29 @@ mod tests {
                 "{workers} workers: the cell panic must fail the run"
             );
         }
+    }
+
+    #[test]
+    fn the_fold_ledger_rejects_a_duplicated_or_dropped_block() {
+        // Blocks of 8 cells over a 20-cell matrix: 0..8, 8..16, 16..20.
+        let fold = |blocks: &[(usize, usize, usize)]| {
+            std::panic::catch_unwind(|| {
+                let mut ledger = FoldLedger::default();
+                for &(index, first_cell, cells) in blocks {
+                    ledger.fold(index, first_cell, cells);
+                }
+                ledger.finish(20);
+            })
+            .is_ok()
+        };
+        assert!(fold(&[(0, 0, 8), (1, 8, 8), (2, 16, 4)]));
+        assert!(
+            !fold(&[(0, 0, 8), (0, 0, 8), (1, 8, 8), (2, 16, 4)]),
+            "duplicate"
+        );
+        assert!(!fold(&[(0, 0, 8), (2, 16, 4)]), "dropped in the middle");
+        assert!(!fold(&[(0, 0, 8), (1, 8, 8)]), "dropped at the end");
+        assert!(!fold(&[(0, 0, 8), (1, 9, 8), (2, 16, 4)]), "cells skipped");
     }
 
     #[test]

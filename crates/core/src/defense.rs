@@ -15,10 +15,8 @@
 //! order as they complete, never held as a batch.
 //!
 //! Because every sweep fans out exclusively through the streaming engine,
-//! `race-check` builds audit this module's parallelism transitively: each
-//! block claim the pool makes on a sweep's behalf is recorded per worker and
-//! asserted cross-worker disjoint (see `zynq_dram::racecheck`), with no
-//! sweep-specific instrumentation needed here.
+//! its collector's exactly-once fold audit covers this module's parallelism
+//! too, with no sweep-specific instrumentation needed here.
 
 // Lint audit: indexes and slice bounds here are established by the
 // surrounding length checks / loop invariants before use.

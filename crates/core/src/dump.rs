@@ -197,7 +197,7 @@ impl MemoryDump {
 }
 
 /// The zero-copy counterpart of [`MemoryDump`]: the victim's heap as a
-/// borrowed [`ScrapeView`] over the DRAM bank arenas, plus the same per-page
+/// borrowed [`ScrapeView`] over the DRAM arena, plus the same per-page
 /// coverage accounting the owned dump records.
 ///
 /// Produced by [`crate::scrape::scrape_heap_view`] when the board's remanence

@@ -62,7 +62,7 @@ pub fn scrape_heap(
 }
 
 /// The zero-copy form of [`scrape_heap`]: borrows the victim's heap as a
-/// [`HeapView`] over the DRAM bank arenas instead of copying it out.
+/// [`HeapView`] over the DRAM arena instead of copying it out.
 ///
 /// Returns `Ok(None)` when the board's remanence model forces an owned decay
 /// transform — callers then fall back to [`scrape_heap`].  When a view is

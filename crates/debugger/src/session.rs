@@ -189,7 +189,7 @@ impl DebugSession {
     }
 
     /// Borrows `len` bytes of physical memory as a zero-copy view over the
-    /// DRAM bank arenas instead of copying them out.
+    /// DRAM arena instead of copying them out.
     ///
     /// The audit trail is identical to [`DebugSession::read_phys_range`] —
     /// the defender's monitor sees the same `ReadPhys` access pattern either

@@ -68,9 +68,9 @@ impl DdrGeometry {
     /// [`DdrCoordinates::bank_id`](crate::DdrCoordinates::bank_id) packing)
     /// holding a given global bank stripe (window offset / [`row_bytes`]).
     ///
-    /// This is the single definition of the stripe → bank routing; the
-    /// mapping layer and the sharded store both delegate here.  A total
-    /// function — out-of-geometry stripe indices wrap via the bit masks.
+    /// This is the single definition of the stripe → bank routing, which
+    /// the mapping layer delegates to.  A total function — out-of-geometry
+    /// stripe indices wrap via the bit masks.
     ///
     /// [`row_bytes`]: DdrGeometry::row_bytes
     pub const fn bank_of_stripe(&self, stripe: u64) -> u64 {
@@ -79,41 +79,6 @@ impl DdrGeometry {
         let rank = (stripe >> (self.bank_group_bits + self.bank_bits + self.row_bits))
             & ((1 << self.rank_bits) - 1);
         (rank << (self.bank_group_bits + self.bank_bits)) | (bank_group << self.bank_bits) | bank
-    }
-
-    /// The position of `stripe` within its bank: the row index, extended by
-    /// the window-wrap overflow (window offsets past one full geometry reuse
-    /// the bank bits and continue at the next `2^row_bits` block).
-    ///
-    /// Together with [`bank_of_stripe`](DdrGeometry::bank_of_stripe) this
-    /// forms a bijection — `(bank id, ordinal)` identifies a stripe uniquely,
-    /// inverted by [`stripe_of_ordinal`](DdrGeometry::stripe_of_ordinal) —
-    /// and for a fixed bank the stripe index is *strictly increasing* in the
-    /// ordinal, so the stripes of any contiguous window range occupy one
-    /// contiguous ordinal interval per bank.  The arena-backed store keys its
-    /// per-bank slabs by this ordinal, which is what turns stripe addressing
-    /// into pure offset arithmetic.
-    pub const fn ordinal_of_stripe(&self, stripe: u64) -> u64 {
-        let bb = self.bank_group_bits + self.bank_bits;
-        let row = (stripe >> bb) & ((1 << self.row_bits) - 1);
-        let overflow = stripe >> (bb + self.row_bits + self.rank_bits);
-        row | (overflow << self.row_bits)
-    }
-
-    /// Inverse of the `(bank_of_stripe, ordinal_of_stripe)` pair: rebuilds
-    /// the global stripe index from a flat bank id and a per-bank ordinal.
-    pub const fn stripe_of_ordinal(&self, bank_id: u64, ordinal: u64) -> u64 {
-        let bb = self.bank_group_bits + self.bank_bits;
-        let bank_group = (bank_id >> self.bank_bits) & ((1 << self.bank_group_bits) - 1);
-        let bank = bank_id & ((1 << self.bank_bits) - 1);
-        let rank = bank_id >> (self.bank_group_bits + self.bank_bits);
-        let row = ordinal & ((1 << self.row_bits) - 1);
-        let overflow = ordinal >> self.row_bits;
-        bank_group
-            | (bank << self.bank_group_bits)
-            | (row << bb)
-            | (rank << (bb + self.row_bits))
-            | (overflow << (bb + self.row_bits + self.rank_bits))
     }
 }
 
@@ -316,68 +281,6 @@ mod tests {
         assert_eq!(g.capacity(), 2 * 1024 * 1024 * 1024);
         assert_eq!(g.row_bytes(), 1024);
         assert_eq!(g.bank_bytes(), 1024 * 65536);
-    }
-
-    #[test]
-    fn stripe_ordinal_is_a_bijection_per_bank() {
-        let geometries = [
-            DdrGeometry::ddr4_2gib(),
-            // The differential-harness shapes: ranked small rows, stripe ==
-            // page, stripe > page, and the tiny wrap-around geometry.
-            DdrGeometry {
-                column_bits: 8,
-                bank_bits: 2,
-                bank_group_bits: 2,
-                row_bits: 9,
-                rank_bits: 1,
-            },
-            DdrGeometry {
-                column_bits: 12,
-                bank_bits: 1,
-                bank_group_bits: 1,
-                row_bits: 8,
-                rank_bits: 0,
-            },
-            DdrGeometry {
-                column_bits: 13,
-                bank_bits: 2,
-                bank_group_bits: 1,
-                row_bits: 6,
-                rank_bits: 0,
-            },
-            DdrGeometry {
-                column_bits: 6,
-                bank_bits: 1,
-                bank_group_bits: 1,
-                row_bits: 4,
-                rank_bits: 0,
-            },
-        ];
-        for g in geometries {
-            // Every stripe round-trips through its (bank, ordinal) pair —
-            // deliberately past one full geometry so the overflow (window
-            // wrap) bits are exercised.
-            for stripe in 0..8192u64 {
-                let bank = g.bank_of_stripe(stripe);
-                let ordinal = g.ordinal_of_stripe(stripe);
-                assert!(bank < g.bank_count());
-                assert_eq!(g.stripe_of_ordinal(bank, ordinal), stripe);
-            }
-            // Per bank, ordinals enumerate that bank's stripes in strictly
-            // increasing stripe order (the arena's contiguity guarantee).
-            for bank in 0..g.bank_count() {
-                let mut previous = None;
-                for ordinal in 0..512u64 {
-                    let stripe = g.stripe_of_ordinal(bank, ordinal);
-                    assert_eq!(g.bank_of_stripe(stripe), bank);
-                    assert_eq!(g.ordinal_of_stripe(stripe), ordinal);
-                    if let Some(p) = previous {
-                        assert!(stripe > p, "stripe index must grow with the ordinal");
-                    }
-                    previous = Some(stripe);
-                }
-            }
-        }
     }
 
     #[test]

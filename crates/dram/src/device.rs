@@ -1,29 +1,32 @@
 //! The DRAM device: byte-accurate storage plus residue (ownership) tracking.
 //!
-//! # Arena-backed bank shards
+//! # One flat arena
 //!
-//! Storage is sharded by DRAM bank: the window is cut into naturally aligned
-//! *bank stripes* (one DRAM row, [`DdrMapping::stripe_bytes`] bytes), each of
-//! which lives wholly inside one bank of the interleaved geometry.  Each bank
-//! shard stores its stripes in a single contiguous **arena**: one lazily
-//! grown `Vec<u8>` slab indexed by the bank-local stripe *ordinal*
-//! ([`DdrGeometry::ordinal_of_stripe`](crate::config::DdrGeometry::ordinal_of_stripe)),
-//! plus a compact stripe-presence bitmap.  Stripe addressing is pure offset
-//! arithmetic — no per-stripe map lookups on any hot path — so bulk reads
-//! ([`Dram::read_bytes`]) collapse to straight `copy_from_slice` calls,
-//! scrubbing ([`Dram::scrub_range`]) collapses to `fill` over a contiguous
-//! slab range per bank, and [`Dram::scrape_view`] can hand out *borrowed*
-//! zero-copy views of the arenas.  Sparse never-written regions still cost
-//! nothing: slabs grow from fresh zeroed (lazily committed) allocations, and
-//! stripes outside every slab span read as zero.
+//! Storage is one grow-on-demand arena indexed by window offset, the way a
+//! `devmem` sweep sees physical memory: a single `Vec<u8>` slab covering
+//! the part of the window that has been written, plus a presence bitmap
+//! over its *stripes* (one DRAM row, [`DdrMapping::stripe_bytes`] bytes).
+//! A contiguous read ([`Dram::read_bytes`]), write, fill or scrub
+//! ([`Dram::scrub_range`]) inside the span is one slice operation, and
+//! [`Dram::scrape_view`] over an in-span range borrows one zero-copy
+//! segment.  Bytes outside the span read as zero.
 //!
-//! All accesses are split at bank boundaries and routed through the
-//! bank-local shards; each path walks the range once, sequentially.
+//! The span grows geometrically toward a write that lands outside it.  A
+//! slab of up to `IN_PLACE_BYTES` (16 MiB) grows upward by reallocation.  Any
+//! other growth moves the slab into a fresh zeroed allocation, which the
+//! allocator hands out as untouched, lazily committed pages, and copies
+//! over only the stripes the presence bitmap marks as written: a wide span
+//! over sparsely written memory (a randomized frame layout) costs address
+//! space, not resident memory.
 //!
-//! The arena store is observationally identical to the flat frame map that
-//! preceded the sharded designs — same bytes, same ownership transitions,
-//! same [`DramStats`] counters — which is pinned by the differential harness
-//! in `tests/dram_sharding_equivalence.rs`.
+//! The DDR geometry is kept only where the model needs it: the stripe is
+//! the coordinate of the remanence draws ([`stripe_hash`]), and the
+//! sanitizers map rows and banks through [`DdrMapping`].
+//!
+//! The arena is observationally identical to the flat frame map that
+//! preceded it — same bytes, same ownership transitions, same
+//! [`DramStats`] counters — which is pinned by the differential harness in
+//! `tests/dram_sharding_equivalence.rs`.
 
 // Lint audit: address arithmetic here is bounds-checked against the
 // DRAM window before any narrowing cast or direct index; offsets are
@@ -34,7 +37,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::addr::{FrameNumber, PhysAddr, PAGE_SIZE};
-use crate::config::{DdrGeometry, DramConfig};
+use crate::config::DramConfig;
 use crate::error::DramError;
 use crate::mapping::DdrMapping;
 use crate::remanence::{
@@ -88,216 +91,177 @@ pub struct FrameOwnership {
     pub live: bool,
 }
 
-/// One bank's shard of the backing store: a contiguous arena of this bank's
-/// stripes, indexed by bank-local stripe *ordinal*
-/// ([`DdrGeometry::ordinal_of_stripe`]), plus the bank-local remanence decay
-/// state.
-///
-/// The slab covers the ordinal span `[span_lo, span_lo + span)` and is grown
-/// (never shrunk) when a write lands outside it.  Growth allocates a *fresh*
-/// zeroed vector and copies the old slab over: fresh zeroed allocations come
-/// from the allocator as untouched, lazily committed pages, so a wide span
-/// over a sparsely written bank costs address space, not resident memory.
-/// Inside the span, stripe addressing is pure offset arithmetic:
-/// `(ordinal - span_lo) * stripe_bytes`.
-#[derive(Debug, Clone, Default)]
-struct BankShard {
-    /// The bank's stripe arena, `span * stripe_bytes` bytes.
+/// Largest slab that grows upward in place; larger ones move into a fresh
+/// zeroed (lazily committed) allocation that receives only written stripes.
+const IN_PLACE_BYTES: u64 = 16 << 20;
+
+/// The backing store: one slab holding window offsets
+/// `[lo, lo + slab.len())`, grown (never shrunk) when a write lands outside
+/// it.  Both ends of the span are multiples of `align`, the larger of a
+/// stripe and a page, so every stripe and every frame lies wholly inside or
+/// wholly outside it.
+#[derive(Debug, Clone)]
+struct Arena {
     slab: Vec<u8>,
-    /// First stripe ordinal covered by the slab.
-    span_lo: u64,
-    /// Presence bitmap over the span: bit `i` means ordinal `span_lo + i`
-    /// has been *written* at least once.  Scrubs zero bytes but never clear
-    /// bits, mirroring the materialization semantics of the map-backed store
-    /// this arena replaced.
+    /// Window offset of `slab[0]`.
+    lo: u64,
+    /// Bytes per stripe, the unit of the presence bitmap.
+    stripe_bytes: u64,
+    /// Granule of the span's ends.
+    align: u64,
+    /// The window capacity rounded up to `align`; clamps geometric growth.
+    bound: u64,
+    /// Presence bitmap over the span: bit `i` means stripe
+    /// `lo / stripe_bytes + i` has been *written* at least once.  Scrubs
+    /// zero bytes but never clear bits.
     present: Vec<u64>,
-    /// Number of set bits in `present` (the per-bank utilization count).
+    /// Number of set bits in `present`.
     present_count: usize,
-    /// Remanence decay origins: for each decay granule (one DRAM row clipped
-    /// to a frame — see [`Dram::decay_granule_bytes`]) of this bank currently
-    /// holding residue, the logical tick at which its owner terminated.
-    /// Empty — and never consulted — under [`RemanenceModel::Perfect`].
-    decay_origins: HashMap<u64, u64>,
 }
 
-impl BankShard {
-    /// Number of stripes covered by the slab.
-    fn span(&self, sb: usize) -> u64 {
-        (self.slab.len() / sb) as u64
-    }
-
-    fn covers(&self, ordinal: u64, sb: usize) -> bool {
-        ordinal >= self.span_lo && ordinal - self.span_lo < self.span(sb)
-    }
-
-    /// Borrows the stripe at `ordinal` if the slab covers it.  Covered but
-    /// never-written stripes are all-zero, so reading them through the slab
-    /// is indistinguishable from the implicit zeros outside the span.
-    fn stripe(&self, ordinal: u64, sb: usize) -> Option<&[u8]> {
-        if !self.covers(ordinal, sb) {
-            return None;
+impl Arena {
+    fn new(stripe_bytes: u64, capacity: u64) -> Self {
+        let align = stripe_bytes.max(PAGE_SIZE);
+        Arena {
+            slab: Vec::new(),
+            lo: 0,
+            stripe_bytes,
+            align,
+            bound: capacity.next_multiple_of(align),
+            present: Vec::new(),
+            present_count: 0,
         }
-        let offset = (ordinal - self.span_lo) as usize * sb;
-        Some(&self.slab[offset..offset + sb])
     }
 
-    /// Mutably borrows the stripe at `ordinal`, growing the slab to cover it
-    /// and marking it present (written at least once).
-    fn stripe_mut(&mut self, ordinal: u64, sb: usize, ordinal_bound: u64) -> &mut [u8] {
-        self.ensure_covers(ordinal, sb, ordinal_bound);
-        let index = (ordinal - self.span_lo) as usize;
-        let word = &mut self.present[index / 64];
-        let bit = 1u64 << (index % 64);
-        if *word & bit == 0 {
-            *word |= bit;
-            self.present_count += 1;
+    /// One past the last window offset of the span.
+    fn hi(&self) -> u64 {
+        self.lo + self.slab.len() as u64
+    }
+
+    /// The part of `[rel, rel + len)` inside the span, as window offsets
+    /// `[a, b)`; `None` when the two do not meet.
+    fn clip(&self, rel: u64, len: u64) -> Option<(u64, u64)> {
+        let (a, b) = (rel.max(self.lo), (rel + len).min(self.hi()));
+        (a < b).then_some((a, b))
+    }
+
+    /// Borrows window offsets `[a, b)`, which must lie inside the span.
+    fn bytes(&self, a: u64, b: u64) -> &[u8] {
+        &self.slab[(a - self.lo) as usize..(b - self.lo) as usize]
+    }
+
+    /// Borrows `[rel, rel + len)` if the span covers it.
+    fn get(&self, rel: u64, len: u64) -> Option<&[u8]> {
+        (self.clip(rel, len) == Some((rel, rel + len))).then(|| self.bytes(rel, rel + len))
+    }
+
+    /// Copies `[rel, rel + buf.len())` into `buf`, zeros outside the span.
+    fn read(&self, rel: u64, buf: &mut [u8]) {
+        let Some((a, b)) = self.clip(rel, buf.len() as u64) else {
+            buf.fill(0);
+            return;
+        };
+        let (from, to) = ((a - rel) as usize, (b - rel) as usize);
+        buf[..from].fill(0);
+        buf[from..to].copy_from_slice(self.bytes(a, b));
+        buf[to..].fill(0);
+    }
+
+    /// Mutably borrows `[rel, rel + len)`, growing the span to cover it and
+    /// marking its stripes written.
+    fn write(&mut self, rel: u64, len: u64) -> &mut [u8] {
+        if len == 0 {
+            return &mut [];
         }
-        let offset = index * sb;
-        &mut self.slab[offset..offset + sb]
+        self.cover(rel, rel + len);
+        let (from, to) = (rel - self.lo, rel + len - self.lo);
+        for index in from / self.stripe_bytes..to.div_ceil(self.stripe_bytes) {
+            let (word, bit) = (&mut self.present[index as usize / 64], 1u64 << (index % 64));
+            if *word & bit == 0 {
+                *word |= bit;
+                self.present_count += 1;
+            }
+        }
+        &mut self.slab[from as usize..to as usize]
     }
 
-    fn ensure_covers(&mut self, ordinal: u64, sb: usize, ordinal_bound: u64) {
-        let span = self.span(sb);
-        if span == 0 {
-            self.span_lo = ordinal;
-            self.slab = vec![0u8; sb];
-            self.present = vec![0u64; 1];
+    /// Zeroes the part of `[rel, rel + len)` inside the span; the rest is
+    /// zero already.
+    fn zero(&mut self, rel: u64, len: u64) {
+        if let Some((a, b)) = self.clip(rel, len) {
+            self.slab[(a - self.lo) as usize..(b - self.lo) as usize].fill(0);
+        }
+    }
+
+    /// Grows the span to cover window offsets `[from, to)`, with geometric
+    /// over-growth on each side being extended (so a sweep of scattered
+    /// writes costs O(log n) reallocations), clamped to the window.
+    fn cover(&mut self, from: u64, to: u64) {
+        let from = from - from % self.align;
+        let to = to.next_multiple_of(self.align);
+        if self.slab.is_empty() {
+            self.lo = from;
+            self.grow(from, to);
             return;
         }
-        if self.covers(ordinal, sb) {
+        let (lo, hi) = (self.lo, self.hi());
+        if from >= lo && to <= hi {
             return;
         }
-        // Geometric over-growth on the side being extended, so a sweep of
-        // scattered writes costs O(log n) reallocations, clamped to the
-        // ordinals the window can actually produce.
-        let mut new_lo = self.span_lo;
-        let mut new_hi = self.span_lo + span;
-        if ordinal < self.span_lo {
-            new_lo = ordinal.saturating_sub(span);
+        let span = hi - lo;
+        let new_lo = if from < lo {
+            from.saturating_sub(span)
         } else {
-            new_hi = (ordinal + 1)
-                .saturating_add(span)
-                .min(ordinal_bound)
-                .max(ordinal + 1);
+            lo
+        };
+        let new_hi = if to > hi {
+            (to + span).min(self.bound)
+        } else {
+            hi
+        };
+        if new_lo == lo && new_hi - lo <= IN_PLACE_BYTES {
+            // Upward growth of a small slab reallocates it, in place where
+            // the allocator can, rather than holding two slabs at once.
+            self.slab.resize((new_hi - lo) as usize, 0);
+            let stripes = ((new_hi - lo) / self.stripe_bytes) as usize;
+            self.present.resize(stripes.div_ceil(64), 0);
+        } else {
+            self.grow(new_lo, new_hi);
         }
-        self.grow(new_lo, new_hi, sb);
     }
 
-    /// Reallocates the slab to cover `[new_lo, new_hi)`: a fresh zeroed
-    /// allocation with the old contents (and presence bits) shifted in.
-    fn grow(&mut self, new_lo: u64, new_hi: u64, sb: usize) {
-        let old_span = self.span(sb) as usize;
-        let new_span = (new_hi - new_lo) as usize;
-        let shift = (self.span_lo - new_lo) as usize;
-        let mut slab = vec![0u8; new_span * sb];
-        slab[shift * sb..shift * sb + self.slab.len()].copy_from_slice(&self.slab);
-        let mut present = vec![0u64; new_span.div_ceil(64)];
-        for index in 0..old_span {
-            if self.present[index / 64] >> (index % 64) & 1 == 1 {
-                let moved = index + shift;
-                present[moved / 64] |= 1 << (moved % 64);
+    /// Moves the slab to cover `[new_lo, new_hi)`: a fresh zeroed
+    /// allocation that receives only the written stripes (and their
+    /// presence bits), so the pages of never-written stripes stay
+    /// uncommitted.
+    fn grow(&mut self, new_lo: u64, new_hi: u64) {
+        let sb = self.stripe_bytes as usize;
+        let shift = ((self.lo - new_lo) / self.stripe_bytes) as usize;
+        let stripes = ((new_hi - new_lo) / self.stripe_bytes) as usize;
+        let mut slab = vec![0u8; (new_hi - new_lo) as usize];
+        let mut present = vec![0u64; stripes.div_ceil(64)];
+        for (w, &word) in self.present.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let old = w * 64 + bits.trailing_zeros() as usize;
+                let new = old + shift;
+                bits &= bits - 1;
+                present[new / 64] |= 1 << (new % 64);
+                slab[new * sb..(new + 1) * sb]
+                    .copy_from_slice(&self.slab[old * sb..(old + 1) * sb]);
             }
         }
         self.slab = slab;
         self.present = present;
-        self.span_lo = new_lo;
+        self.lo = new_lo;
     }
-
-    /// Zeroes the covered intersection of ordinals `[lo, hi)` with the span
-    /// in one contiguous slab `fill` — the arena's collapsed scrub.
-    fn zero_ordinals(&mut self, lo: u64, hi: u64, sb: usize) {
-        let from = lo.max(self.span_lo);
-        let to = hi.min(self.span_lo + self.span(sb));
-        if from >= to {
-            return;
-        }
-        let a = (from - self.span_lo) as usize * sb;
-        let b = (to - self.span_lo) as usize * sb;
-        self.slab[a..b].fill(0);
-    }
-
-    /// Zeroes bytes `[from, to)` within the stripe at `ordinal`, if covered
-    /// (absent stripes are already zero and are not materialized).
-    fn zero_partial(&mut self, ordinal: u64, from: usize, to: usize, sb: usize) {
-        if !self.covers(ordinal, sb) {
-            return;
-        }
-        let offset = (ordinal - self.span_lo) as usize * sb;
-        self.slab[offset + from..offset + to].fill(0);
-    }
-}
-
-/// Zeroes the intersection of window offsets `[rel_start, rel_end)` with one
-/// bank's arena: the partially covered head/tail stripes individually, and
-/// every fully covered stripe as part of a single contiguous
-/// ordinal-interval `fill`.  For a fixed bank the stripes of a window range
-/// occupy one contiguous ordinal interval
-/// ([`DdrGeometry::stripe_of_ordinal`] is strictly increasing per bank), so
-/// the interval endpoints are found by binary search.
-fn scrub_shard_range(
-    shard: &mut BankShard,
-    geometry: &DdrGeometry,
-    bank_id: u64,
-    sb: u64,
-    rel_start: u64,
-    rel_end: u64,
-    ordinal_bound: u64,
-) {
-    let sbu = sb as usize;
-    let head = rel_start / sb;
-    let head_end = ((head + 1) * sb).min(rel_end);
-    if (!rel_start.is_multiple_of(sb) || head_end < (head + 1) * sb)
-        && geometry.bank_of_stripe(head) == bank_id
-    {
-        shard.zero_partial(
-            geometry.ordinal_of_stripe(head),
-            (rel_start - head * sb) as usize,
-            (head_end - head * sb) as usize,
-            sbu,
-        );
-    }
-    let tail = (rel_end - 1) / sb;
-    if !rel_end.is_multiple_of(sb) && tail != head && geometry.bank_of_stripe(tail) == bank_id {
-        shard.zero_partial(
-            geometry.ordinal_of_stripe(tail),
-            0,
-            (rel_end - tail * sb) as usize,
-            sbu,
-        );
-    }
-    let first_full = rel_start.div_ceil(sb);
-    let end_full = rel_end / sb;
-    if first_full >= end_full {
-        return;
-    }
-    let lo = ordinal_lower_bound(geometry, bank_id, first_full, ordinal_bound);
-    let hi = ordinal_lower_bound(geometry, bank_id, end_full, ordinal_bound);
-    shard.zero_ordinals(lo, hi, sbu);
-}
-
-/// Smallest ordinal `o` in `[0, bound)` with
-/// `stripe_of_ordinal(bank_id, o) >= stripe`, or `bound` when none exists
-/// (valid because the stripe index is strictly increasing in the ordinal for
-/// a fixed bank).
-fn ordinal_lower_bound(geometry: &DdrGeometry, bank_id: u64, stripe: u64, bound: u64) -> u64 {
-    let (mut lo, mut hi) = (0u64, bound);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if geometry.stripe_of_ordinal(bank_id, mid) < stripe {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
 }
 
 /// The simulated DRAM device.
 ///
-/// Storage is sparse and bank-sharded: bank stripes are materialized on first
-/// write, so a 2 GiB window costs memory proportional to the bytes actually
-/// touched, and very large boards no longer serialize every access on one
-/// flat frame map.
+/// Storage is sparse: the arena covers only the span that has been
+/// written, so a 2 GiB window costs memory proportional to the bytes
+/// actually touched.
 ///
 /// # Example
 ///
@@ -315,16 +279,15 @@ fn ordinal_lower_bound(geometry: &DdrGeometry, bank_id: u64, stripe: u64, bound:
 #[derive(Debug, Clone)]
 pub struct Dram {
     config: DramConfig,
-    /// Bytes per bank stripe (one DRAM row); every stripe lives in one bank.
-    stripe_bytes: u64,
-    /// One arena shard per (rank, bank group, bank), indexed by flat bank id.
-    banks: Vec<BankShard>,
-    /// Exclusive upper bound of the stripe ordinals the window can produce
-    /// (identical for every bank); clamps geometric slab growth.
-    ordinal_bound: u64,
+    arena: Arena,
     /// Frames that have been materialized (written at least once).
     materialized: HashSet<u64>,
     ownership: HashMap<u64, FrameOwnership>,
+    /// Remanence decay origins: for each decay granule (one DRAM row
+    /// clipped to a frame — see [`Dram::decay_granule_bytes`]) currently
+    /// holding residue, the logical tick at which its owner terminated.
+    /// Empty — and never consulted — under [`RemanenceModel::Perfect`].
+    decay_origins: HashMap<u64, u64>,
     stats: DramStats,
     /// How residue decays over logical ticks ([`RemanenceModel::Perfect`]
     /// keeps the pre-remanence behavior bit-exactly).
@@ -345,23 +308,12 @@ pub struct Dram {
 impl Dram {
     /// Creates an empty (all-zero) DRAM with the given configuration.
     pub fn new(config: DramConfig) -> Self {
-        let mapping = DdrMapping::new(config);
-        let bank_count = mapping.bank_count() as usize;
-        let geometry = config.geometry();
-        // Upper-bound the ordinals reachable from the window: the last
-        // stripe's overflow bits cap the wrap count, and within one wrap the
-        // row bits cap the ordinal.
-        let last_stripe = (config.capacity() - 1) / mapping.stripe_bytes();
-        let wrap_shift =
-            geometry.bank_group_bits + geometry.bank_bits + geometry.row_bits + geometry.rank_bits;
-        let ordinal_bound = ((last_stripe >> wrap_shift) + 1) << geometry.row_bits;
         Dram {
             config,
-            stripe_bytes: mapping.stripe_bytes(),
-            banks: vec![BankShard::default(); bank_count],
-            ordinal_bound,
+            arena: Arena::new(DdrMapping::new(config).stripe_bytes(), config.capacity()),
             materialized: HashSet::new(),
             ownership: HashMap::new(),
+            decay_origins: HashMap::new(),
             stats: DramStats::default(),
             remanence: RemanenceModel::Perfect,
             remanence_seed: 0,
@@ -432,73 +384,41 @@ impl Dram {
         self.stats = DramStats::default();
     }
 
-    /// Number of bank shards backing the store
-    /// (ranks × bank groups × banks per group).
-    pub fn bank_count(&self) -> usize {
-        self.banks.len()
-    }
-
-    /// Bytes per bank stripe — the granularity at which requests are split
-    /// across bank shards (one DRAM row).
+    /// Bytes per stripe (one DRAM row): the coordinate of the remanence
+    /// draws and the unit in which the arena records written memory.
     pub fn stripe_bytes(&self) -> u64 {
-        self.stripe_bytes
+        self.arena.stripe_bytes
     }
 
-    /// Total number of materialized bank stripes across all shards.
+    /// Number of stripes written at least once.
     pub fn materialized_stripes(&self) -> usize {
-        self.banks.iter().map(|b| b.present_count).sum()
+        self.arena.present_count
     }
 
-    /// Total bytes of slab address space reserved across all bank arenas.
+    /// Bytes of address space the arena spans.
     ///
-    /// This measures the *virtual* extent of the ordinal spans — growth
-    /// allocates fresh zeroed (lazily committed) memory, so the resident
-    /// cost tracks the bytes actually written — and is what the sparse-window
-    /// equivalence test pins as proportional to the touched region rather
-    /// than the window size.
+    /// This measures the *virtual* extent of the span — growth allocates
+    /// fresh zeroed (lazily committed) memory and copies only written
+    /// stripes, so the resident cost tracks the bytes actually written —
+    /// and is what the sparse-window equivalence test pins as proportional
+    /// to the touched region rather than the window size.
     pub fn arena_bytes(&self) -> u64 {
-        self.banks.iter().map(|b| b.slab.len() as u64).sum()
+        self.arena.slab.len() as u64
     }
 
     fn frame_index(&self, addr: PhysAddr) -> u64 {
         addr.offset_from(self.config.base()) / PAGE_SIZE
     }
 
-    /// The bank shard holding `stripe` (the single
-    /// [`DdrGeometry::bank_of_stripe`](crate::config::DdrGeometry::bank_of_stripe)
-    /// routing definition, shared with the mapping layer).
-    fn stripe_bank(&self, stripe: u64) -> usize {
-        self.config.geometry().bank_of_stripe(stripe) as usize
-    }
-
-    fn stripe(&self, stripe: u64) -> Option<&[u8]> {
-        let geometry = self.config.geometry();
-        self.banks[geometry.bank_of_stripe(stripe) as usize].stripe(
-            geometry.ordinal_of_stripe(stripe),
-            self.stripe_bytes as usize,
-        )
-    }
-
-    fn stripe_mut(&mut self, stripe: u64) -> &mut [u8] {
-        let geometry = self.config.geometry();
-        let sb = self.stripe_bytes as usize;
-        let bound = self.ordinal_bound;
-        self.banks[geometry.bank_of_stripe(stripe) as usize].stripe_mut(
-            geometry.ordinal_of_stripe(stripe),
-            sb,
-            bound,
-        )
-    }
-
     /// Bytes per decay granule: one DRAM row clipped to a frame.  Residue
     /// transitions (termination, re-ownership, scrubbing) are frame-granular
-    /// and stripes are the shard-routing unit, so the granule — the largest
-    /// block contained in exactly one frame *and* one stripe — is the exact
-    /// granularity at which decay epochs can open and close.  On the real
-    /// geometries (row ≤ page) this is simply the bank stripe; only the
-    /// synthetic stripe-larger-than-page test geometries clip it.
+    /// and the stripe is the coordinate of the decay draws, so the granule
+    /// — the largest block contained in exactly one frame *and* one stripe
+    /// — is the exact granularity at which decay epochs can open and close.
+    /// On the real geometries (row ≤ page) this is simply the stripe; only
+    /// the synthetic stripe-larger-than-page test geometries clip it.
     fn decay_granule_bytes(&self) -> u64 {
-        self.stripe_bytes.min(PAGE_SIZE)
+        self.stripe_bytes().min(PAGE_SIZE)
     }
 
     /// Global decay-granule indices covering frame `idx` (each granule lies
@@ -506,12 +426,6 @@ impl Dram {
     fn frame_decay_granules(&self, idx: u64) -> std::ops::Range<u64> {
         let g = self.decay_granule_bytes();
         (idx * PAGE_SIZE / g)..((idx + 1) * PAGE_SIZE / g)
-    }
-
-    /// The bank shard holding a decay granule's origin record (the bank of
-    /// the stripe the granule belongs to).
-    fn granule_bank(&self, granule: u64) -> usize {
-        self.stripe_bank(granule * self.decay_granule_bytes() / self.stripe_bytes)
     }
 
     /// Records the residue origin of every decay granule of frame `idx`
@@ -522,8 +436,7 @@ impl Dram {
     fn stamp_decay_origins(&mut self, idx: u64) {
         let tick = self.remanence_tick;
         for granule in self.frame_decay_granules(idx) {
-            let bank = self.granule_bank(granule);
-            self.banks[bank].decay_origins.insert(granule, tick);
+            self.decay_origins.insert(granule, tick);
         }
     }
 
@@ -533,8 +446,7 @@ impl Dram {
     /// frames.
     fn clear_decay_origins(&mut self, idx: u64) {
         for granule in self.frame_decay_granules(idx) {
-            let bank = self.granule_bank(granule);
-            self.banks[bank].decay_origins.remove(&granule);
+            self.decay_origins.remove(&granule);
         }
     }
 
@@ -557,7 +469,7 @@ impl Dram {
             return;
         }
         let start = addr.offset_from(self.config.base());
-        let sb = self.stripe_bytes;
+        let sb = self.stripe_bytes();
         let granule_bytes = self.decay_granule_bytes();
         let now = self.remanence_tick;
         let (mut curves, mut hashes, mut masks) = (Vec::new(), Vec::new(), Vec::new());
@@ -566,15 +478,16 @@ impl Dram {
             let rel = start + pos as u64;
             let chunk = (PAGE_SIZE - rel % PAGE_SIZE)
                 .min(sb - rel % sb)
-                .min((len - pos) as u64) as usize;
-            let stripe = rel / sb;
+                .min((len - pos) as u64);
             let residue = self
                 .ownership
                 .get(&(rel / PAGE_SIZE))
                 .is_some_and(|rec| !rec.live);
-            let origins = &self.banks[self.stripe_bank(stripe)].decay_origins;
-            let origin = origins.get(&(rel / granule_bytes)).filter(|_| residue);
-            if let (Some(&origin), Some(stripe_bytes)) = (origin, self.stripe(stripe)) {
+            let origin = self
+                .decay_origins
+                .get(&(rel / granule_bytes))
+                .filter(|_| residue);
+            if let (Some(&origin), Some(raw)) = (origin, self.arena.get(rel, chunk)) {
                 curves.clear();
                 curves.extend(
                     (now..)
@@ -582,17 +495,14 @@ impl Dram {
                         .map(|tick| self.remanence.curve(tick.saturating_sub(origin))),
                 );
                 if !curves.iter().all(DecayCurve::is_identity) {
-                    let first = rel % sb;
-                    let raw = &stripe_bytes[first as usize..first as usize + chunk];
-                    let stripe_draw = stripe_hash(self.remanence_seed, stripe);
-                    decay_masks(raw, stripe_draw, first, &curves, &mut hashes, &mut masks);
+                    let stripe_draw = stripe_hash(self.remanence_seed, rel / sb);
+                    decay_masks(raw, stripe_draw, rel % sb, &curves, &mut hashes, &mut masks);
                     apply(pos, raw, &masks);
                 }
             }
-            pos += chunk;
+            pos += chunk as usize;
         }
     }
-
     /// Decays `reads`, raw copies of one range at `addr`, to the range as
     /// read `i` ticks from now.
     fn apply_decay<B: AsMut<[u8]>>(&self, addr: PhysAddr, reads: &mut [B]) {
@@ -676,23 +586,9 @@ impl Dram {
         Ok(reads)
     }
 
-    /// The raw (pre-decay) bulk read: one shard lookup per touched bank
-    /// stripe, bulk-copying stripe-sized chunks.
+    /// The raw (pre-decay) bulk read: one copy out of the arena.
     fn read_bytes_unchecked(&self, addr: PhysAddr, buf: &mut [u8]) {
-        let base = self.config.base();
-        let sb = self.stripe_bytes;
-        let mut cursor = 0usize;
-        while cursor < buf.len() {
-            let rel = (addr + cursor as u64).offset_from(base);
-            let offset = (rel % sb) as usize;
-            let chunk = (sb as usize - offset).min(buf.len() - cursor);
-            let dst = &mut buf[cursor..cursor + chunk];
-            match self.stripe(rel / sb) {
-                Some(stripe) => dst.copy_from_slice(&stripe[offset..offset + chunk]),
-                None => dst.fill(0),
-            }
-            cursor += chunk;
-        }
+        self.arena.read(addr.offset_from(self.config.base()), buf);
     }
 
     /// Reads a naturally aligned little-endian 32-bit word (the access
@@ -731,8 +627,8 @@ impl Dram {
     }
 
     /// Borrows a zero-copy [`ScrapeView`] of `[addr, addr + len)` straight
-    /// out of the bank arenas: no bytes are copied, and regions outside
-    /// every slab span alias a shared static zero chunk.
+    /// out of the arena: no bytes are copied, the in-span part is one
+    /// borrowed segment, and the rest aliases a shared static zero chunk.
     ///
     /// Returns `Ok(None)` when the remanence model is not
     /// [`RemanenceModel::Perfect`]: decayed reads must materialize an owned
@@ -748,38 +644,28 @@ impl Dram {
         if !self.remanence.is_perfect() {
             return Ok(None);
         }
-        let unit = self.stripe_bytes.min(PAGE_SIZE);
-        let mut view = ScrapeView::with_unit(unit as usize);
         let rel = addr.offset_from(self.config.base());
-        // Partial head up to the next unit boundary.  Units never straddle a
-        // stripe: the unit divides the stripe size (both are powers of two,
-        // unit the smaller) and the window base is page-aligned.
-        let mut cursor = 0u64;
-        if !rel.is_multiple_of(unit) {
-            let head_len = (unit - rel % unit).min(len);
-            view.set_head(self.unit_slice(rel, head_len as usize));
-            cursor = head_len;
-        }
-        while cursor < len {
-            let chunk = unit.min(len - cursor) as usize;
-            view.push_chunk(self.unit_slice(rel + cursor, chunk));
-            cursor += chunk as u64;
-        }
-        Ok(Some(view))
-    }
-
-    /// A borrowed `len`-byte slice at window offset `rel`; the caller
-    /// guarantees the range lies inside one unit (hence one stripe).  Absent
-    /// stripes alias the shared zero chunk.
-    fn unit_slice(&self, rel: u64, len: usize) -> &[u8] {
-        let sb = self.stripe_bytes;
-        match self.stripe(rel / sb) {
-            Some(stripe) => {
-                let offset = (rel % sb) as usize;
-                &stripe[offset..offset + len]
+        let mut view = ScrapeView::with_unit(PAGE_SIZE as usize);
+        let tail = match self.arena.clip(rel, len) {
+            None => len,
+            Some((a, b)) => {
+                if a == rel {
+                    view.set_head(self.arena.bytes(a, b));
+                } else {
+                    // Zeros up to the span, which starts on a page boundary,
+                    // then the in-span bytes page by page to keep the grid.
+                    let head = (PAGE_SIZE - rel % PAGE_SIZE).min(a - rel);
+                    view.set_head(zero_chunk(head as usize));
+                    view.push_zeros((a - rel - head) as usize);
+                    for page in self.arena.bytes(a, b).chunks(PAGE_SIZE as usize) {
+                        view.push_chunk(page);
+                    }
+                }
+                rel + len - b
             }
-            None => zero_chunk(len),
-        }
+        };
+        view.push_zeros(tail as usize);
+        Ok(Some(view))
     }
 
     fn tag_frame(&mut self, idx: u64, owner: OwnerTag) {
@@ -818,13 +704,7 @@ impl Dram {
         value: u8,
         owner: OwnerTag,
     ) -> Result<(), DramError> {
-        self.check_range(addr, 1)?;
-        let rel = addr.offset_from(self.config.base());
-        let offset = (rel % self.stripe_bytes) as usize;
-        self.stripe_mut(rel / self.stripe_bytes)[offset] = value;
-        self.tag_written_frames(addr, 1, owner);
-        self.stats.record_write(1);
-        Ok(())
+        self.write_bytes(addr, &[value], owner)
     }
 
     /// Writes `data` starting at `addr` on behalf of `owner`.
@@ -839,19 +719,10 @@ impl Dram {
         owner: OwnerTag,
     ) -> Result<(), DramError> {
         self.check_range(addr, data.len() as u64)?;
-        // One shard materialization per touched bank stripe, bulk-copying
-        // stripe-sized chunks; ownership stays frame-granular.
-        let base = self.config.base();
-        let sb = self.stripe_bytes;
-        let mut cursor = 0usize;
-        while cursor < data.len() {
-            let rel = (addr + cursor as u64).offset_from(base);
-            let offset = (rel % sb) as usize;
-            let chunk = (sb as usize - offset).min(data.len() - cursor);
-            self.stripe_mut(rel / sb)[offset..offset + chunk]
-                .copy_from_slice(&data[cursor..cursor + chunk]);
-            cursor += chunk;
-        }
+        let rel = addr.offset_from(self.config.base());
+        self.arena
+            .write(rel, data.len() as u64)
+            .copy_from_slice(data);
         self.tag_written_frames(addr, data.len() as u64, owner);
         self.stats.record_write(data.len() as u64);
         Ok(())
@@ -907,61 +778,11 @@ impl Dram {
             return Err(DramError::EmptyRange { addr });
         }
         self.check_range(addr, len)?;
-        let base = self.config.base();
-        let sb = self.stripe_bytes;
-        let mut cursor = 0u64;
-        while cursor < len {
-            let rel = (addr + cursor).offset_from(base);
-            let offset = (rel % sb) as usize;
-            let chunk = ((sb - offset as u64).min(len - cursor)) as usize;
-            self.stripe_mut(rel / sb)[offset..offset + chunk].fill(byte);
-            cursor += chunk as u64;
-        }
+        let rel = addr.offset_from(self.config.base());
+        self.arena.write(rel, len).fill(byte);
         self.tag_written_frames(addr, len, owner);
         self.stats.record_write(len);
         Ok(())
-    }
-
-    /// Zeroes the covered slices of every *materialized* stripe in
-    /// `[addr, addr + len)`; stripes outside every slab span are already
-    /// zero.  Small ranges walk their few stripes directly (O(1) offset
-    /// arithmetic each); large ranges collapse to one contiguous slab `fill`
-    /// per bank over the fully covered interior.
-    fn zero_stripes(&mut self, addr: PhysAddr, len: u64) {
-        let sb = self.stripe_bytes;
-        let rel_start = addr.offset_from(self.config.base());
-        let rel_end = rel_start + len;
-        let geometry = self.config.geometry();
-        let stripes = rel_end.div_ceil(sb) - rel_start / sb;
-        if stripes <= 2 * self.banks.len() as u64 {
-            let mut cursor = 0u64;
-            while cursor < len {
-                let rel = rel_start + cursor;
-                let offset = (rel % sb) as usize;
-                let chunk = ((sb - offset as u64).min(len - cursor)) as usize;
-                let stripe = rel / sb;
-                self.banks[geometry.bank_of_stripe(stripe) as usize].zero_partial(
-                    geometry.ordinal_of_stripe(stripe),
-                    offset,
-                    offset + chunk,
-                    sb as usize,
-                );
-                cursor += chunk as u64;
-            }
-            return;
-        }
-        let bound = self.ordinal_bound;
-        for (bank_id, shard) in self.banks.iter_mut().enumerate() {
-            scrub_shard_range(
-                shard,
-                &geometry,
-                bank_id as u64,
-                sb,
-                rel_start,
-                rel_end,
-                bound,
-            );
-        }
     }
 
     /// Drops the ownership record of every frame in `[addr, addr + len)` that
@@ -1003,7 +824,7 @@ impl Dram {
             return Err(DramError::EmptyRange { addr });
         }
         self.check_range(addr, len)?;
-        self.zero_stripes(addr, len);
+        self.arena.zero(addr.offset_from(self.config.base()), len);
         self.drop_zeroed_ownership(addr, len);
         self.stats.record_scrub(len);
         Ok(())
@@ -1062,26 +883,15 @@ impl Dram {
             .map(move |(idx, rec)| (FrameNumber::new(first + idx), rec.owner))
     }
 
-    /// The stored pieces of frame `idx`, each with its offset in the frame
-    /// and its bytes borrowed from the stripe that holds it.  Absent stripes
-    /// read as zero and are skipped.
-    fn frame_pieces(&self, idx: u64) -> impl Iterator<Item = (usize, &[u8])> + '_ {
-        let sb = self.stripe_bytes;
-        let piece = sb.min(PAGE_SIZE);
-        (0..PAGE_SIZE / piece).filter_map(move |i| {
-            let rel = idx * PAGE_SIZE + i * piece;
-            let first = (rel % sb) as usize;
-            let stripe = self.stripe(rel / sb)?;
-            Some(((i * piece) as usize, &stripe[first..first + piece as usize]))
-        })
+    /// The stored bytes of frame `idx`, borrowed from the arena; `None`
+    /// when the frame lies outside the span (it reads as zero).
+    fn frame_bytes(&self, idx: u64) -> Option<&[u8]> {
+        self.arena.get(idx * PAGE_SIZE, PAGE_SIZE)
     }
 
-    /// Non-zero bytes of frame `idx`, counted in place on the stripe slices
-    /// that hold it, with no copy.
+    /// Non-zero bytes of frame `idx`, counted in place, with no copy.
     fn frame_nonzero_bytes(&self, idx: u64) -> u64 {
-        self.frame_pieces(idx)
-            .map(|(_, bytes)| nonzero_bytes(bytes))
-            .sum()
+        self.frame_bytes(idx).map_or(0, nonzero_bytes)
     }
 
     /// Total number of bytes that differ from zero in residue frames.
@@ -1166,8 +976,8 @@ impl Dram {
                     &swept[..]
                 }
             };
-            for (offset, raw) in self.frame_pieces(idx) {
-                decay.tally(raw, &seen[offset..offset + raw.len()]);
+            if let Some(raw) = self.frame_bytes(idx) {
+                decay.tally(raw, seen);
             }
         }
         decay
@@ -1178,7 +988,6 @@ impl Dram {
         self.materialized.len()
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1225,8 +1034,8 @@ mod tests {
 
     #[test]
     fn bytes_roundtrip_across_bank_boundaries() {
-        // A write spanning several bank stripes lands in several shards and
-        // reads back bit-exactly.
+        // A write spanning several stripes of different banks reads back
+        // bit-exactly.
         let mut d = dram();
         let owner = OwnerTag::new(9);
         let sb = d.stripe_bytes();
@@ -1236,29 +1045,16 @@ mod tests {
         let mut back = vec![0u8; data.len()];
         d.read_bytes(addr, &mut back).unwrap();
         assert_eq!(back, data);
-        // The stripes really are distributed over more than one bank shard.
+        // The stripes really are distributed over more than one bank.
+        let mapping = DdrMapping::new(*d.config());
         let rel = addr.offset_from(d.config().base());
-        let mut banks: Vec<usize> = (rel / sb..=(rel + data.len() as u64 - 1) / sb)
-            .map(|stripe| d.stripe_bank(stripe))
+        let mut banks: Vec<u64> = (rel / sb..=(rel + data.len() as u64 - 1) / sb)
+            .map(|stripe| mapping.bank_of_stripe(stripe))
             .collect();
         banks.sort_unstable();
         banks.dedup();
-        assert!(
-            banks.len() > 1,
-            "expected multiple bank shards, got {banks:?}"
-        );
+        assert!(banks.len() > 1, "expected multiple banks, got {banks:?}");
         assert!(d.materialized_stripes() >= 4);
-    }
-
-    #[test]
-    fn bank_shard_layout_matches_the_mapping() {
-        let d = dram();
-        let mapping = DdrMapping::new(*d.config());
-        assert_eq!(d.bank_count() as u64, mapping.bank_count());
-        assert_eq!(d.stripe_bytes(), mapping.stripe_bytes());
-        for stripe in 0..256 {
-            assert_eq!(d.stripe_bank(stripe) as u64, mapping.bank_of_stripe(stripe));
-        }
     }
 
     #[test]
@@ -1430,6 +1226,16 @@ mod tests {
 
     #[test]
     fn scrape_view_is_byte_identical_to_read_bytes() {
+        fn check(d: &Dram, start: u64, len: u64) {
+            let mut owned = vec![0u8; len as usize];
+            d.read_bytes(d.config().base() + start, &mut owned).unwrap();
+            let view = d
+                .scrape_view(d.config().base() + start, len)
+                .unwrap()
+                .unwrap();
+            assert_eq!(view.len() as u64, len);
+            assert_eq!(view.to_vec(), owned, "start={start} len={len}");
+        }
         let mut d = dram();
         let base = d.config().base();
         let data: Vec<u8> = (0..6 * PAGE_SIZE + 991).map(|i| (i % 255) as u8).collect();
@@ -1442,12 +1248,47 @@ mod tests {
             (123, 0),
         ];
         for (start, len) in cases {
-            let mut owned = vec![0u8; len as usize];
-            d.read_bytes(base + start, &mut owned).unwrap();
-            let view = d.scrape_view(base + start, len).unwrap().unwrap();
-            assert_eq!(view.len() as u64, len);
-            assert_eq!(view.to_vec(), owned, "start={start} len={len}");
+            check(&d, start, len);
         }
+        // An in-span range is one borrowed segment.
+        let view = d.scrape_view(base + 17, 4 * PAGE_SIZE).unwrap().unwrap();
+        assert_eq!(view.segments().count(), 1);
+
+        // Ranges straddling the arena's low and high edges and the window
+        // end, with the span `[5, 8)` pages and the window's last page.
+        let mut d = dram();
+        let capacity = d.config().capacity();
+        d.write_bytes(
+            base + 5 * PAGE_SIZE + 100,
+            &data[..2 * PAGE_SIZE as usize],
+            OwnerTag::new(4),
+        )
+        .unwrap();
+        d.write_bytes(d.config().end() - 50, &data[..50], OwnerTag::new(4))
+            .unwrap();
+        let cases = [
+            (4 * PAGE_SIZE + 7, 2 * PAGE_SIZE),
+            (7 * PAGE_SIZE + 9, 3 * PAGE_SIZE),
+            (3 * PAGE_SIZE + 1, 6 * PAGE_SIZE),
+            (5 * PAGE_SIZE, 3 * PAGE_SIZE),
+            (capacity - 3 * PAGE_SIZE - 1, 3 * PAGE_SIZE + 1),
+            (capacity - 60, 60),
+        ];
+        for (start, len) in cases {
+            check(&d, start, len);
+        }
+        // Per-page views stitch into the heap-order concatenation.
+        let pages = [6u64, 2, 7, 5, capacity / PAGE_SIZE - 1];
+        let mut stitched = ScrapeView::with_unit(PAGE_SIZE as usize);
+        let mut owned = Vec::new();
+        for page in pages {
+            let addr = base + page * PAGE_SIZE;
+            stitched.append(d.scrape_view(addr, PAGE_SIZE).unwrap().unwrap());
+            let mut frame = vec![0u8; PAGE_SIZE as usize];
+            d.read_bytes(addr, &mut frame).unwrap();
+            owned.extend_from_slice(&frame);
+        }
+        assert_eq!(stitched.to_vec(), owned);
         // The same range checks as the owned read apply.
         assert!(matches!(
             d.scrape_view(d.config().end(), 1),
@@ -1467,15 +1308,15 @@ mod tests {
 
     #[test]
     fn arena_memory_is_proportional_to_touched_stripes() {
-        // A dense 64 KiB island in the 16 MiB window: the per-bank slabs
-        // must cover (a slack multiple of) the island, not the window.
+        // A dense 64 KiB island in the 16 MiB window: the arena must cover
+        // (a slack multiple of) the island, not the window.
         let mut d = dram();
         let base = d.config().base();
         let island = 64 * 1024u64;
         d.fill(base + 4 * 1024 * 1024, island, 0xEE, OwnerTag::new(1))
             .unwrap();
         let arena = d.arena_bytes();
-        assert!(arena >= island, "slabs must cover the written bytes");
+        assert!(arena >= island, "the arena must cover the written bytes");
         assert!(
             arena < d.config().capacity() / 16,
             "arena ({arena} B) must stay proportional to the touched region"

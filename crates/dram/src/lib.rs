@@ -6,13 +6,11 @@
 //! FPGAs: Private Data Extraction from Terminated Processes"* (DATE 2024):
 //!
 //! - a byte-accurate, sparsely backed physical memory ([`Dram`]) whose
-//!   backing store is **sharded by DRAM bank into contiguous arenas**: one
-//!   lazily grown slab plus stripe-presence bitmap per bank, so stripe
-//!   addressing is pure offset arithmetic.  Requests are split at bank
-//!   boundaries and routed to the per-bank arenas, each read or scrub walking
-//!   its range once, and [`Dram::scrape_view`] borrows **zero-copy**
-//!   [`ScrapeView`]s straight out of the slabs, searched in one streaming
-//!   pass by [`Matcher`],
+//!   backing store is **one flat arena** indexed by window offset: a lazily
+//!   grown slab over the written span, so a read, write or scrub inside it
+//!   is one slice operation and [`Dram::scrape_view`] borrows a
+//!   **zero-copy** [`ScrapeView`] straight out of it, searched in one
+//!   streaming pass by [`Matcher`],
 //! - the DDR address interleaving used by the memory controller
 //!   ([`mapping::DdrMapping`]), so row/bank-granular sanitization schemes
 //!   (RowClone, RowReset) can be modelled faithfully,
@@ -51,8 +49,6 @@ pub mod config;
 pub mod device;
 pub mod error;
 pub mod mapping;
-#[cfg(feature = "race-check")]
-pub mod racecheck;
 pub mod remanence;
 pub mod sanitize;
 pub mod search;

@@ -16,7 +16,7 @@
 //! `row_bytes`-sized block of the window (a **bank stripe**) lives entirely
 //! inside one bank, and consecutive stripes rotate through the bank groups.
 //! [`DdrMapping::bank_of_stripe`] routes a stripe to its bank — the
-//! partition the sharded [`Dram`](crate::Dram) store is built on.
+//! partition the RowReset sanitizer clears bank by bank.
 //!
 //! Every entry point rejects out-of-window addresses with the typed
 //! [`DramError::OutsideWindow`] error (decompose and the bulk span paths
@@ -105,10 +105,9 @@ impl DdrMapping {
 
     /// The bank holding a given global stripe (window offset / stripe bytes).
     ///
-    /// Delegates to [`DdrGeometry::bank_of_stripe`] — a total function, so
-    /// the store can route every stripe to exactly one bank shard without an
-    /// in-window check on the hot path.  For in-window addresses it agrees
-    /// with [`DdrCoordinates::bank_id`] of any address in the stripe.
+    /// Delegates to [`DdrGeometry::bank_of_stripe`] — a total function, with
+    /// no in-window check.  For in-window addresses it agrees with
+    /// [`DdrCoordinates::bank_id`] of any address in the stripe.
     pub fn bank_of_stripe(&self, stripe: u64) -> u64 {
         self.config.geometry().bank_of_stripe(stripe)
     }
@@ -485,19 +484,26 @@ mod tests {
 
         /// Bank decomposition is a partition: every in-window address maps to
         /// exactly one bank, and that bank agrees between the stripe-level
-        /// routing function and the full coordinate decomposition.
+        /// routing function and the full coordinate decomposition of every
+        /// byte of the stripe.
         #[test]
         fn prop_every_address_maps_to_exactly_one_bank(raw in any::<u64>()) {
             for cfg in all_board_configs() {
                 let m = DdrMapping::new(cfg);
                 let g = cfg.geometry();
+                let sb = m.stripe_bytes();
                 let addr = cfg.base() + raw % cfg.capacity();
                 let via_coords = m.decompose(addr).unwrap().bank_id(&g);
-                let via_stripe =
-                    m.bank_of_stripe(addr.offset_from(cfg.base()) / m.stripe_bytes());
+                let stripe = addr.offset_from(cfg.base()) / sb;
+                let via_stripe = m.bank_of_stripe(stripe);
                 prop_assert_eq!(via_coords, via_stripe, "config {:?}", cfg.board());
                 prop_assert_eq!(m.bank_of(addr).unwrap(), via_coords);
                 prop_assert!(via_coords < m.bank_count());
+                // The stripe's first and last bytes sit in the same bank.
+                for byte in [stripe * sb, stripe * sb + sb - 1] {
+                    let coords = m.decompose(cfg.base() + byte).unwrap();
+                    prop_assert_eq!(coords.bank_id(&g), via_stripe);
+                }
             }
         }
 
@@ -536,91 +542,6 @@ mod tests {
                 prop_assert!(m.decompose(below).is_err());
                 if let Some(above) = cfg.end().checked_add(raw % (1u64 << 32)) {
                     prop_assert!(m.decompose(above).is_err());
-                }
-            }
-        }
-
-        /// The arena addressing the bank shards use is pinned to the DDR
-        /// mapping: every in-window address lands in exactly one bank slab
-        /// at exactly one offset.  The (bank, ordinal) pair roundtrips to
-        /// the stripe the mapping routes the address to, same-bank ordinals
-        /// are dense (no slab byte is shared or skipped), and the bank
-        /// agrees with the coordinate-level decomposition.
-        #[test]
-        fn prop_every_address_lands_in_exactly_one_arena_slot(raw in any::<u64>()) {
-            for cfg in all_board_configs() {
-                let m = DdrMapping::new(cfg);
-                let g = cfg.geometry();
-                let sb = m.stripe_bytes();
-                let addr = cfg.base() + raw % cfg.capacity();
-                let stripe = addr.offset_from(cfg.base()) / sb;
-                let bank = g.bank_of_stripe(stripe);
-                let ordinal = g.ordinal_of_stripe(stripe);
-                prop_assert_eq!(bank, m.bank_of(addr).unwrap(), "config {:?}", cfg.board());
-                prop_assert_eq!(g.stripe_of_ordinal(bank, ordinal), stripe);
-                // Ordinals are dense per bank: the next ordinal names the
-                // next stripe of the same bank, and no stripe in between
-                // belongs to this bank.
-                let next = g.stripe_of_ordinal(bank, ordinal + 1);
-                prop_assert!(next > stripe);
-                prop_assert_eq!(g.bank_of_stripe(next), bank);
-                prop_assert_eq!(g.ordinal_of_stripe(next), ordinal + 1);
-                if next - stripe <= 256 {
-                    for between in (stripe + 1)..next {
-                        prop_assert!(g.bank_of_stripe(between) != bank);
-                    }
-                }
-            }
-        }
-
-        /// Walking a range stripe by stripe maps it into arena terms
-        /// losslessly: each stripe's piece of the range occupies one
-        /// contiguous slab-offset range of its bank's arena, and across the
-        /// whole range each byte claims exactly one (bank, slab offset) slot.
-        #[test]
-        fn prop_bank_chunks_map_to_disjoint_arena_ranges(raw in any::<u64>(), span in 1u64..(64 * 1024)) {
-            for cfg in all_board_configs() {
-                let m = DdrMapping::new(cfg);
-                let g = cfg.geometry();
-                let sb = m.stripe_bytes();
-                let len = span.min(cfg.capacity());
-                let start = raw % (cfg.capacity() - len + 1);
-                // Per bank: the covered slab ranges, as (start, end) offsets.
-                let mut ranges: std::collections::HashMap<u64, Vec<(u64, u64)>> =
-                    std::collections::HashMap::new();
-                let mut covered = 0u64;
-                let mut rel = start;
-                while rel < start + len {
-                    let stripe = rel / sb;
-                    let piece = (sb - rel % sb).min(start + len - rel);
-                    let bank = m.bank_of_stripe(stripe);
-                    // The whole piece is in the bank the coordinate
-                    // decomposition assigns.
-                    let first = m.decompose(cfg.base() + rel).unwrap().bank_id(&g);
-                    let last = m.decompose(cfg.base() + rel + piece - 1).unwrap().bank_id(&g);
-                    prop_assert_eq!(first, bank, "config {:?}", cfg.board());
-                    prop_assert_eq!(last, bank);
-                    // Within a stripe, slab offsets advance densely with the
-                    // address, so the piece is one contiguous slab range.
-                    let slab_start = g.ordinal_of_stripe(stripe) * sb + rel % sb;
-                    ranges
-                        .entry(bank)
-                        .or_default()
-                        .push((slab_start, slab_start + piece));
-                    covered += piece;
-                    rel += piece;
-                }
-                prop_assert_eq!(covered, len, "pieces cover the range exactly");
-                for (bank, mut bank_ranges) in ranges {
-                    bank_ranges.sort_unstable();
-                    for pair in bank_ranges.windows(2) {
-                        prop_assert!(
-                            pair[0].1 <= pair[1].0,
-                            "bank {} slab ranges overlap: {:?}",
-                            bank,
-                            pair
-                        );
-                    }
                 }
             }
         }

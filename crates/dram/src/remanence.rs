@@ -46,9 +46,9 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// The per-cell decay draw: a uniform `u64` derived from the decay seed and
-/// the cell's (bank stripe, offset-in-stripe) coordinates.  This is the
-/// per-stripe decay state in functional form — every bank shard's stripes
-/// draw from their own slice of the sequence, so no read mutates it.
+/// the cell's (stripe, offset-in-stripe) coordinates.  This is the
+/// per-stripe decay state in functional form — every stripe draws from its
+/// own slice of the sequence, so no read mutates it.
 ///
 /// It is the composition of [`stripe_hash`] and [`cell_hash_in_stripe`]; a
 /// read that walks one stripe computes the first once per stripe.

@@ -1,9 +1,10 @@
-//! Zero-copy scrape views: borrowed, gap-aware windows over the bank arenas.
+//! Zero-copy scrape views: borrowed, gap-aware windows over the DRAM arena.
 //!
 //! A [`ScrapeView`] is a page-table-like sequence of `&[u8]` slices — an
-//! optional partial *head* followed by uniform power-of-two *unit* chunks
-//! (only the last may be shorter) — referencing the bank slabs directly, with
-//! never-written regions aliasing one shared static zero chunk.  The uniform
+//! optional *head* of any length followed by uniform power-of-two *unit*
+//! chunks (only the last may be shorter) — referencing the arena directly,
+//! with never-written regions aliasing one shared static zero chunk.  A
+//! scrape inside the arena's span is a head alone: one borrowed segment.  The uniform
 //! grid makes random access pure shift/mask arithmetic, so the analysis
 //! stages can run their original byte-level algorithms over the view without
 //! ever assembling an owned copy of the scraped range.
@@ -37,11 +38,11 @@ const PAGE_USIZE: usize = {
 };
 
 /// One shared all-zero chunk backing every gap in every view.  `PAGE_SIZE`
-/// bytes is enough for any unit: units are `min(stripe_bytes, PAGE_SIZE)`.
+/// bytes is enough for any unit: units are at most a page.
 static ZERO: [u8; PAGE_USIZE] = [0u8; PAGE_USIZE];
 
 /// A borrowed static zero slice of `len` bytes (`len <= PAGE_SIZE`), used
-/// for never-written stripes, missing pages and padding.
+/// for never-written memory, missing pages and padding.
 pub fn zero_chunk(len: usize) -> &'static [u8] {
     &ZERO[..len]
 }
@@ -139,13 +140,15 @@ impl<'a> ScrapeView<'a> {
         }
     }
 
-    /// Appends all chunks of `other` (same unit, empty head) to this view.
-    /// Used to stitch per-page scrape views into one heap view.
+    /// Appends the bytes of `other` (same unit) to this view, cut into
+    /// unit chunks.  Used to stitch per-page scrape views into one heap
+    /// view; only the final chunk of the result may be partial.
     pub fn append(&mut self, other: ScrapeView<'a>) {
         debug_assert_eq!(other.unit_shift, self.unit_shift, "mismatched view units");
-        debug_assert!(other.head.is_empty(), "appended views must be unit-aligned");
-        for chunk in other.chunks {
-            self.push_chunk(chunk);
+        for segment in other.segments() {
+            for chunk in segment.chunks(self.unit()) {
+                self.push_chunk(chunk);
+            }
         }
     }
 

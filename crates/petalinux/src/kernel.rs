@@ -624,7 +624,7 @@ impl Kernel {
     }
 
     /// Borrows a zero-copy view of physical memory straight out of the DRAM
-    /// bank arenas ([`zynq_dram::Dram::scrape_view`]).
+    /// arena ([`zynq_dram::Dram::scrape_view`]).
     ///
     /// Returns `Ok(None)` when the remanence model requires an owned decay
     /// transform; callers then fall back to [`Kernel::read_physical_bytes`].

@@ -147,7 +147,7 @@ impl Shell {
     }
 
     /// The zero-copy form of [`Shell::devmem_read_bytes`]: borrows the range
-    /// straight out of the DRAM bank arenas instead of copying it.  Same
+    /// straight out of the DRAM arena instead of copying it.  Same
     /// permission check; `Ok(None)` when the remanence model forces an owned
     /// read (callers then fall back to the copying form).
     ///

@@ -1,13 +1,13 @@
-//! Differential harness: the bank-sharded DRAM store is observationally
-//! identical to the flat frame map it replaced.
+//! Differential harness: the arena-backed DRAM store is observationally
+//! identical to the frame map it replaced.
 //!
-//! `FlatDram` below re-implements the pre-sharding store verbatim (one sparse
+//! `FlatDram` below re-implements the frame-map store verbatim (one sparse
 //! `HashMap` of page-sized frames, ownership tagged per frame, stats counted
 //! per operation).  The harness then drives the *same seeded operation
 //! sequences* — writes, fills, scrubs and scrapes deliberately crossing
-//! frame, bank, bank-group and rank boundaries — against the flat reference
-//! and the sharded store, asserting byte-identical contents, identical
-//! ownership transitions and identical `DramStats` counters throughout.
+//! frame, stripe and arena-span boundaries — against the reference and the
+//! arena store, asserting byte-identical contents, identical ownership
+//! transitions and identical `DramStats` counters throughout.
 
 // Lint audit: address arithmetic here is bounds-checked against the
 // DRAM window before any narrowing cast or direct index; offsets are
@@ -375,57 +375,94 @@ fn a_second_seed_hits_different_interleavings() {
 fn sparse_windows_keep_arena_memory_proportional_to_touched_stripes() {
     // A small write cluster deep inside an otherwise untouched window: the
     // arena store must stay byte-identical to the flat reference while its
-    // slab footprint tracks the touched stripes, not the window span.
+    // slab footprint tracks the touched stripes, not the window span.  Two
+    // inputs: two islands written upward, and scattered islands that grow
+    // the span downward, then upward, then lose one island to a scrub.
     for (name, config) in harness_configs() {
-        let mut flat = FlatDram::new(config);
-        let mut arena = Dram::new(config);
-        let owner = OwnerTag::new(42);
-        let sb = config.geometry().row_bytes();
-        let base = config.base();
-        let capacity = config.capacity();
-
-        // Two islands of two stripes each, a few stripes apart, at ~3/4 of
-        // the window (nowhere near the slabs' natural starting point).
-        let island = 2 * sb;
-        let first = (3 * capacity / 4 / sb) * sb;
-        let second = first + 8 * sb;
-        assert!(second + island <= capacity, "{name}: window too small");
-        let mut rng = 0xA12A_0007u64;
-        for offset in [first, second] {
-            let data: Vec<u8> = (0..island).map(|_| splitmix64(&mut rng) as u8).collect();
-            flat.write_bytes(base + offset, &data, owner).unwrap();
-            arena.write_bytes(base + offset, &data, owner).unwrap();
+        for scattered in [false, true] {
+            sparse_window(name, config, scattered);
         }
-
-        // Byte identity over the islands, their surroundings, and cold
-        // regions far away at both ends of the window.
-        let probe_len = (12 * sb).min(capacity) as usize;
-        for probe in [0, first.saturating_sub(sb), capacity - probe_len as u64] {
-            let mut a = vec![0u8; probe_len];
-            let mut b = vec![0u8; probe_len];
-            flat.read_bytes(base + probe, &mut a).unwrap();
-            arena.read_bytes(base + probe, &mut b).unwrap();
-            assert_eq!(a, b, "{name}: probe at +{probe:#x}");
-        }
-
-        // Footprint: exactly the touched stripes are materialized, the
-        // slabs cover them, and the total arena extent stays a small
-        // multiple of the touched cluster — far below the window capacity.
-        let touched = 2 * island / sb;
-        assert_eq!(arena.materialized_stripes() as u64, touched, "{name}");
-        assert!(
-            arena.arena_bytes() >= touched * sb,
-            "{name}: slabs must cover the touched stripes"
-        );
-        assert!(
-            arena.arena_bytes() <= capacity / 8,
-            "{name}: arena {} bytes for {} touched stripes of {} bytes in a {} byte window",
-            arena.arena_bytes(),
-            touched,
-            sb,
-            capacity
-        );
     }
+}
+
+fn sparse_window(name: &str, config: DramConfig, scattered: bool) {
+    let mut flat = FlatDram::new(config);
+    let mut arena = Dram::new(config);
+    let owner = OwnerTag::new(42);
+    let sb = config.geometry().row_bytes();
+    let base = config.base();
+    let capacity = config.capacity();
+
+    // Islands of two stripes each, a few stripes apart, at ~3/4 of
+    // the window (nowhere near the arena's natural starting point).
+    let island = 2 * sb;
+    let first = (3 * capacity / 4 / sb) * sb;
+    let second = first + 8 * sb;
+    assert!(second + island <= capacity, "{name}: window too small");
+    let islands = if scattered {
+        // Whole arena granules apart, so each write grows the span.
+        let granule = sb.max(PAGE_SIZE);
+        vec![first, first - 6 * granule, first + 12 * granule]
+    } else {
+        vec![first, second]
+    };
+    let mut rng = 0xA12A_0007u64;
+    for &offset in &islands {
+        let data: Vec<u8> = (0..island).map(|_| splitmix64(&mut rng) as u8).collect();
+        flat.write_bytes(base + offset, &data, owner).unwrap();
+        arena.write_bytes(base + offset, &data, owner).unwrap();
+    }
+    if scattered {
+        // Scrubbing zeroes bytes but keeps the stripes materialized.
+        flat.scrub_range(base + first + sb / 2, sb).unwrap();
+        arena.scrub_range(base + first + sb / 2, sb).unwrap();
+        assert_eq!(flat.residue_bytes(), arena.residue_bytes(), "{name}");
+        for &offset in &islands {
+            let frame = (base + offset).frame_number();
+            let idx = frame.as_u64() - config.first_frame().as_u64();
+            let flat_rec = flat.ownership.get(&idx).copied();
+            let arena_rec = arena.frame_ownership(frame).map(|r| (r.owner, r.live));
+            assert_eq!(flat_rec, arena_rec, "{name}: ownership of frame {idx}");
+        }
+    }
+
+    // Byte identity over the islands, their surroundings, and cold
+    // regions far away at both ends of the window.
+    let probe_len = (12 * sb).min(capacity) as usize;
+    let low = islands.iter().min().unwrap();
+    for probe in [0, low.saturating_sub(sb), capacity - probe_len as u64] {
+        let mut a = vec![0u8; probe_len];
+        let mut b = vec![0u8; probe_len];
+        flat.read_bytes(base + probe, &mut a).unwrap();
+        arena.read_bytes(base + probe, &mut b).unwrap();
+        assert_eq!(a, b, "{name}: probe at +{probe:#x}");
+    }
+    // And the whole cluster, across every edge the span grew through.
+    let high = islands.iter().max().unwrap() + island;
+    let (from, to) = (low.saturating_sub(sb), (high + sb).min(capacity));
+    let mut a = vec![0u8; (to - from) as usize];
+    let mut b = vec![0u8; (to - from) as usize];
+    flat.read_bytes(base + from, &mut a).unwrap();
+    arena.read_bytes(base + from, &mut b).unwrap();
+    assert_eq!(a, b, "{name}: cluster +{from:#x}..+{to:#x}");
+
+    // Footprint: exactly the touched stripes are materialized, the
+    // slabs cover them, and the total arena extent stays a small
+    // multiple of the touched cluster — far below the window capacity.
+    let touched = islands.len() as u64 * island / sb;
+    assert_eq!(arena.materialized_stripes() as u64, touched, "{name}");
+    assert!(
+        arena.arena_bytes() >= touched * sb,
+        "{name}: slabs must cover the touched stripes"
+    );
+    assert!(
+        arena.arena_bytes() <= capacity / 8,
+        "{name}: arena {} bytes for {} touched stripes of {} bytes in a {} byte window",
+        arena.arena_bytes(),
+        touched,
+        sb,
+        capacity
+    );
 }
 
 #[test]
