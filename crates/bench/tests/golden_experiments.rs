@@ -144,6 +144,38 @@ fn tiny_swap_stdout_is_pinned_and_jobs_independent() {
 }
 
 #[test]
+fn tiny_revival_livetraffic_stdout_is_pinned() {
+    assert_matches_golden(
+        &["--revival", "--livetraffic", "--tiny"],
+        "experiments_tiny_revival_livetraffic.txt",
+    );
+}
+
+#[test]
+fn tiny_fingerprint_aslr_multitenant_stdout_is_pinned() {
+    assert_matches_golden(
+        &["--fingerprint", "--aslr", "--multitenant", "--tiny"],
+        "experiments_tiny_fingerprint_aslr_multitenant.txt",
+    );
+}
+
+#[test]
+fn boards_stdout_is_pinned() {
+    // TAB-E always runs the two paper boards; it has no `--tiny` variant.
+    assert_matches_golden(&["--boards"], "experiments_boards.txt");
+}
+
+#[test]
+fn tiny_campaign_batch_tables_are_pinned() {
+    // The batch header prints the worker count, so the pool size is pinned
+    // with `--jobs`; the per-axis tables below it are worker-independent.
+    assert_matches_golden(
+        &["--campaign", "--tiny", "--jobs=2"],
+        "experiments_tiny_campaign.txt",
+    );
+}
+
+#[test]
 fn audit_stdout_is_pinned() {
     // The `--audit` table is computed by the static analyzer, not by
     // campaigns, so it is fully deterministic and board-independent; the
