@@ -16,6 +16,7 @@
 use std::sync::OnceLock;
 
 use msa_analyzer::{analyze, audited_policies, Channel, ScenarioShape, Verdict};
+use msa_core::campaign::StreamConfig;
 use msa_core::defense::{self, CowRow, RevivalRow, SwapRow};
 use msa_core::{ScrapeMode, VictimSchedule};
 use petalinux_sim::BoardConfig;
@@ -33,23 +34,33 @@ fn board() -> BoardConfig {
 fn swap_rows() -> &'static [SwapRow] {
     static ROWS: OnceLock<Vec<SwapRow>> = OnceLock::new();
     ROWS.get_or_init(|| {
-        defense::evaluate_swap(board(), ModelKind::SqueezeNet, SWAP_PRESSURE)
-            .expect("swap sweep runs on the permissive tiny board")
+        defense::evaluate_swap(
+            board(),
+            ModelKind::SqueezeNet,
+            SWAP_PRESSURE,
+            &StreamConfig::default(),
+        )
+        .expect("swap sweep runs on the permissive tiny board")
     })
 }
 
 fn cow_rows() -> &'static [CowRow] {
     static ROWS: OnceLock<Vec<CowRow>> = OnceLock::new();
     ROWS.get_or_init(|| {
-        defense::evaluate_cow_retention(board(), ModelKind::SqueezeNet, COW_CHILDREN)
-            .expect("cow sweep runs on the permissive tiny board")
+        defense::evaluate_cow_retention(
+            board(),
+            ModelKind::SqueezeNet,
+            COW_CHILDREN,
+            &StreamConfig::default(),
+        )
+        .expect("cow sweep runs on the permissive tiny board")
     })
 }
 
 fn revival_rows() -> &'static [RevivalRow] {
     static ROWS: OnceLock<Vec<RevivalRow>> = OnceLock::new();
     ROWS.get_or_init(|| {
-        defense::evaluate_revival(board(), ModelKind::SqueezeNet)
+        defense::evaluate_revival(board(), ModelKind::SqueezeNet, &StreamConfig::default())
             .expect("revival sweep runs on the permissive tiny board")
     })
 }

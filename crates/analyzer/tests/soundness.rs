@@ -62,10 +62,14 @@ fn schedule_spec(schedule: VictimSchedule) -> CampaignSpec {
 /// Streams `spec` and returns every record (strict cell-index order).
 fn stream(spec: &CampaignSpec) -> Vec<CellRecord> {
     let mut records = Vec::new();
-    spec.stream_cells(StreamConfig::default(), |record| {
-        records.push(record);
-        Ok(())
-    })
+    spec.stream(
+        StreamConfig::default(),
+        |record| {
+            records.push(record);
+            Ok(())
+        },
+        |_| {},
+    )
     .expect("soundness campaign streams");
     records
 }

@@ -18,18 +18,23 @@
 //! vs. sanitize policy), `--campaign` (fleet-scale matrix summary), `--all`.
 //!
 //! Modifiers: `--tiny` runs the matrix tables on the small test board (the
-//! CI smoke configuration); `--jobs=N` caps the campaign worker pool;
+//! CI smoke configuration); `--jobs=N` sets the campaign worker pool of
+//! every matrix table (default: the machine's available parallelism);
 //! `--stream` switches `--campaign` onto the streaming engine (NDJSON
 //! progress per folded cell group on stdout, plus `BENCH_campaign.json` in
 //! the working directory); `--stress` streams a 1,000,000-cell matrix
 //! through the synthetic executor to demonstrate bounded residency.
 //!
 //! Every matrix table here is executed by the `msa_core::campaign` worker
-//! pool — the `evaluate_*` sweeps are campaign specs, and `--fingerprint`,
-//! `--boards` and `--campaign` build their specs directly.
+//! pool under one `StreamConfig` built from `--jobs` — the `evaluate_*`
+//! sweeps are campaign specs, and `--fingerprint`, `--boards`,
+//! `--livetraffic` and `--campaign` build their specs directly and take
+//! their rows from the stream's per-cell visitor.
 
 use msa_core::attack::{AttackConfig, AttackPipeline};
-use msa_core::campaign::{CampaignSpec, CampaignSummary, InputKind, StreamConfig};
+use std::collections::BTreeMap;
+
+use msa_core::campaign::{CampaignSpec, CampaignSummary, GroupStats, InputKind, StreamConfig};
 use msa_core::defense::{
     evaluate_cow_retention, evaluate_isolation, evaluate_layout_randomization,
     evaluate_multi_tenant, evaluate_reconstruction, evaluate_remanence, evaluate_revival,
@@ -84,7 +89,8 @@ struct Options {
     tiny: bool,
     stream: bool,
     stress: bool,
-    jobs: Option<usize>,
+    /// The engine configuration every matrix table runs under (`--jobs`).
+    config: StreamConfig,
 }
 
 impl Options {
@@ -93,13 +99,12 @@ impl Options {
         let mut tiny = false;
         let mut stream = false;
         let mut stress = false;
-        let mut jobs = None;
+        let mut config = StreamConfig::new();
         for arg in args {
             if let Some(n) = arg.strip_prefix("--jobs=") {
-                jobs = Some(
+                config = config.with_workers(
                     n.parse::<usize>()
-                        .map_err(|_| format!("invalid worker count in `{arg}`"))?
-                        .max(1),
+                        .map_err(|_| format!("invalid worker count in `{arg}`"))?,
                 );
             } else if arg == "--tiny" {
                 tiny = true;
@@ -118,7 +123,7 @@ impl Options {
             tiny,
             stream,
             stress,
-            jobs,
+            config,
         })
     }
 
@@ -145,14 +150,6 @@ impl Options {
             "tiny"
         } else {
             "ZCU104"
-        }
-    }
-
-    /// Applies the `--jobs` cap to a campaign spec.
-    fn capped(&self, spec: CampaignSpec) -> CampaignSpec {
-        match self.jobs {
-            Some(jobs) => spec.with_jobs(jobs),
-            None => spec,
         }
     }
 }
@@ -404,7 +401,8 @@ fn defenses(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
         "scrub cost (cycles)",
         "collateral",
     ]);
-    for row in evaluate_sanitize_policies(options.board(), ModelKind::Resnet50Pt)? {
+    for row in evaluate_sanitize_policies(options.board(), ModelKind::Resnet50Pt, &options.config)?
+    {
         table.add_row(vec![
             row.policy.to_string(),
             row.model_identified.to_string(),
@@ -424,7 +422,7 @@ fn defenses(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
         "pixel recovery",
         "blocked at",
     ]);
-    for row in evaluate_isolation(options.board(), ModelKind::Resnet50Pt)? {
+    for row in evaluate_isolation(options.board(), ModelKind::Resnet50Pt, &options.config)? {
         table.add_row(vec![
             row.isolation.to_string(),
             row.attack_completed.to_string(),
@@ -439,12 +437,6 @@ fn defenses(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
 
 fn fingerprint(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
     println!("=== TAB-C: model identification accuracy across the zoo ===");
-    let report = options
-        .capped(
-            CampaignSpec::new(options.board_name(), options.board())
-                .with_models(ModelKind::all().to_vec()),
-        )
-        .run()?;
     let mut table = TextTable::new(vec![
         "victim model",
         "identified as",
@@ -452,24 +444,30 @@ fn fingerprint(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
         "confidence",
         "image recovered",
     ]);
-    for record in report.cells() {
-        let metrics = record.metrics.as_ref().expect("permissive cells complete");
-        table.add_row(vec![
-            record.cell.model.to_string(),
-            metrics
-                .identified_model
-                .map(|m| m.to_string())
-                .unwrap_or_else(|| "<none>".into()),
-            metrics.model_identified.to_string(),
-            percent(metrics.identification_confidence),
-            percent(metrics.pixel_recovery),
-        ]);
-    }
+    let summary = CampaignSpec::new(options.board_name(), options.board())
+        .with_models(ModelKind::all().to_vec())
+        .stream(
+            options.config.clone(),
+            |record| {
+                let metrics = record.metrics.as_ref().expect("permissive cells complete");
+                table.add_row(vec![
+                    record.cell.model.to_string(),
+                    metrics
+                        .identified_model
+                        .map(|m| m.to_string())
+                        .unwrap_or_else(|| "<none>".into()),
+                    metrics.model_identified.to_string(),
+                    percent(metrics.identification_confidence),
+                    percent(metrics.pixel_recovery),
+                ]);
+                Ok(())
+            },
+            |_| {},
+        )?;
     println!("{table}");
     println!(
         "identification accuracy: {}/{}\n",
-        report.identified_count(),
-        report.len()
+        summary.totals.identified, summary.cells_total
     );
     Ok(())
 }
@@ -483,7 +481,9 @@ fn aslr(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
         "model identified",
         "pixel recovery",
     ]);
-    for row in evaluate_layout_randomization(options.board(), ModelKind::Resnet50Pt)? {
+    for row in
+        evaluate_layout_randomization(options.board(), ModelKind::Resnet50Pt, &options.config)?
+    {
         table.add_row(vec![
             row.allocation_order.to_string(),
             row.aslr.to_string(),
@@ -498,13 +498,6 @@ fn aslr(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
 
 fn boards(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
     println!("=== TAB-E: attack success per board preset ===");
-    let report = options
-        .capped(
-            CampaignSpec::new("ZCU104", BoardConfig::zcu104())
-                .with_board("ZCU102", BoardConfig::zcu102())
-                .with_inputs(vec![InputKind::Corrupted]),
-        )
-        .run()?;
     let mut table = TextTable::new(vec![
         "board",
         "dram window",
@@ -512,16 +505,24 @@ fn boards(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
         "pixel recovery",
         "residue frames",
     ]);
-    for record in report.cells() {
-        let metrics = record.metrics.as_ref().expect("permissive cells complete");
-        table.add_row(vec![
-            record.cell.board_name.clone(),
-            bytes(record.cell.board.dram().capacity()),
-            metrics.model_identified.to_string(),
-            percent(metrics.pixel_recovery),
-            metrics.residue_frames.to_string(),
-        ]);
-    }
+    CampaignSpec::new("ZCU104", BoardConfig::zcu104())
+        .with_board("ZCU102", BoardConfig::zcu102())
+        .with_inputs(vec![InputKind::Corrupted])
+        .stream(
+            options.config.clone(),
+            |record| {
+                let metrics = record.metrics.as_ref().expect("permissive cells complete");
+                table.add_row(vec![
+                    record.cell.board_name.clone(),
+                    bytes(record.cell.board.dram().capacity()),
+                    metrics.model_identified.to_string(),
+                    percent(metrics.pixel_recovery),
+                    metrics.residue_frames.to_string(),
+                ]);
+                Ok(())
+            },
+            |_| {},
+        )?;
     println!("{table}");
     Ok(())
 }
@@ -538,6 +539,7 @@ fn multitenant(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
         options.board(),
         ModelKind::SqueezeNet,
         ModelKind::MobileNetV2,
+        &options.config,
     )? {
         table.add_row(vec![
             row.policy.to_string(),
@@ -582,7 +584,7 @@ fn revival(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
         "pixel recovery",
     ]);
     for (name, board) in boards {
-        for row in evaluate_revival(board, ModelKind::Resnet50Pt)? {
+        for row in evaluate_revival(board, ModelKind::Resnet50Pt, &options.config)? {
             table.add_row(vec![
                 name.to_string(),
                 row.policy.to_string(),
@@ -619,36 +621,35 @@ fn livetraffic(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
         "pixel recovery",
     ]);
     for churn_rate in [0usize, 1, 2, 4] {
-        let report = options
-            .capped(
-                CampaignSpec::new(options.board_name(), options.board())
-                    .with_inputs(vec![InputKind::Corrupted])
-                    .with_schedules(vec![VictimSchedule::LiveTraffic {
-                        tenants: 2,
-                        churn_rate,
-                    }])
-                    // A rotation whose tenant sizes step up gradually, so the
-                    // decay curve is visible rather than saturating on the
-                    // first churn event.
-                    .with_seed(41),
-            )
-            .run()?;
-        let record = report
-            .cells()
-            .first()
-            .ok_or("live-traffic campaign ran no cell")?;
-        let metrics = record.metrics.as_ref().expect("permissive cells complete");
-        let lifetime = metrics.residue_lifetime;
-        table.add_row(vec![
-            record.cell.schedule.to_string(),
-            lifetime.churn_events.to_string(),
-            lifetime.victim_frames.to_string(),
-            lifetime.frames_lost_before_scrape.to_string(),
-            percent(lifetime.survival_rate()),
-            percent(metrics.dump_coverage),
-            metrics.model_identified.to_string(),
-            percent(metrics.pixel_recovery),
-        ]);
+        CampaignSpec::new(options.board_name(), options.board())
+            .with_inputs(vec![InputKind::Corrupted])
+            .with_schedules(vec![VictimSchedule::LiveTraffic {
+                tenants: 2,
+                churn_rate,
+            }])
+            // A rotation whose tenant sizes step up gradually, so the decay
+            // curve is visible rather than saturating on the first churn
+            // event.
+            .with_seed(41)
+            .stream(
+                options.config.clone(),
+                |record| {
+                    let metrics = record.metrics.as_ref().expect("permissive cells complete");
+                    let lifetime = metrics.residue_lifetime;
+                    table.add_row(vec![
+                        record.cell.schedule.to_string(),
+                        lifetime.churn_events.to_string(),
+                        lifetime.victim_frames.to_string(),
+                        lifetime.frames_lost_before_scrape.to_string(),
+                        percent(lifetime.survival_rate()),
+                        percent(metrics.dump_coverage),
+                        metrics.model_identified.to_string(),
+                        percent(metrics.pixel_recovery),
+                    ]);
+                    Ok(())
+                },
+                |_| {},
+            )?;
     }
     println!("{table}");
     Ok(())
@@ -663,7 +664,7 @@ fn livetraffic(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
 /// `--jobs`-independent.
 fn remanence(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
     println!("=== REMANENCE: recovery vs. analog residue decay (victim: resnet50_pt) ===");
-    let rows = evaluate_remanence(options.board(), ModelKind::Resnet50Pt)?;
+    let rows = evaluate_remanence(options.board(), ModelKind::Resnet50Pt, &options.config)?;
     let mut table = TextTable::new(vec![
         "remanence",
         "model identified",
@@ -705,7 +706,12 @@ fn reconstruct(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "=== RECONSTRUCT: decay-tolerant reconstruction vs exact matching (victim: resnet50_pt) ==="
     );
-    let rows = evaluate_reconstruction(options.board(), ModelKind::Resnet50Pt, SNAPSHOTS)?;
+    let rows = evaluate_reconstruction(
+        options.board(),
+        ModelKind::Resnet50Pt,
+        SNAPSHOTS,
+        &options.config,
+    )?;
     let mut table = TextTable::new(vec![
         "remanence",
         "id (exact)",
@@ -788,7 +794,12 @@ fn swap(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
         "=== SWAP: compressed-swap residue vs sanitize policy (victim: squeezenet, board: {}) ===",
         options.board_name()
     );
-    let swap_rows = evaluate_swap(options.board(), ModelKind::SqueezeNet, SWAP_PRESSURE)?;
+    let swap_rows = evaluate_swap(
+        options.board(),
+        ModelKind::SqueezeNet,
+        SWAP_PRESSURE,
+        &options.config,
+    )?;
     let mut table = TextTable::new(vec![
         "policy",
         "scrubs swap",
@@ -822,7 +833,12 @@ fn swap(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "=== SWAP: CoW-retained residue vs sanitize policy (fork-heavy victim, {COW_CHILDREN} children) ==="
     );
-    let cow_rows = evaluate_cow_retention(options.board(), ModelKind::SqueezeNet, COW_CHILDREN)?;
+    let cow_rows = evaluate_cow_retention(
+        options.board(),
+        ModelKind::SqueezeNet,
+        COW_CHILDREN,
+        &options.config,
+    )?;
     let mut table = TextTable::new(vec![
         "policy",
         "victim frames",
@@ -903,50 +919,51 @@ fn campaign(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
     if options.stress {
         return campaign_stress(options);
     }
-    let spec = options.capped(
-        CampaignSpec::new("tiny", BoardConfig::tiny_for_tests())
-            .with_models(ModelKind::all().to_vec())
-            .with_inputs(vec![InputKind::SamplePhoto, InputKind::Corrupted])
-            .with_sanitize_policies(vec![
-                SanitizePolicy::None,
-                SanitizePolicy::SelectiveScrub,
-                SanitizePolicy::Background { delay_ticks: 1000 },
-            ])
-            .with_isolation_policies(vec![IsolationPolicy::Permissive, IsolationPolicy::Confined])
-            .with_scrape_modes(vec![ScrapeMode::ContiguousRange, ScrapeMode::PerPage])
-            .with_seed(2024),
-    );
+    let spec = CampaignSpec::new("tiny", BoardConfig::tiny_for_tests())
+        .with_models(ModelKind::all().to_vec())
+        .with_inputs(vec![InputKind::SamplePhoto, InputKind::Corrupted])
+        .with_sanitize_policies(vec![
+            SanitizePolicy::None,
+            SanitizePolicy::SelectiveScrub,
+            SanitizePolicy::Background { delay_ticks: 1000 },
+        ])
+        .with_isolation_policies(vec![IsolationPolicy::Permissive, IsolationPolicy::Confined])
+        .with_scrape_modes(vec![ScrapeMode::ContiguousRange, ScrapeMode::PerPage])
+        .with_seed(2024);
     if options.stream {
         println!("=== CAMPAIGN (streaming): fleet-scale scenario matrix (tiny board) ===");
-        let summary = spec.stream_with_progress(StreamConfig::default(), |progress| {
-            println!("{}", progress.to_ndjson());
-        })?;
+        let summary = spec.stream(
+            options.config.clone(),
+            |_| Ok(()),
+            |progress| println!("{}", progress.to_ndjson()),
+        )?;
         return report_stream_summary("tiny-sweep", &summary);
     }
     println!("=== CAMPAIGN: fleet-scale scenario matrix (tiny board) ===");
-    let report = spec.run()?;
+    // The summary folds the sanitize and isolation axes itself; scrape mode
+    // is not one of its axes, so the visitor folds that table.
+    let mut by_scrape_mode: BTreeMap<String, GroupStats> = BTreeMap::new();
+    let summary = spec.stream(
+        options.config.clone(),
+        |record| {
+            by_scrape_mode
+                .entry(record.cell.scrape_mode.to_string())
+                .or_default()
+                .absorb(&record);
+            Ok(())
+        },
+        |_| {},
+    )?;
+    let totals = &summary.totals;
     println!(
         "{} cells on {} workers: {} completed, {} blocked, {} identified\n",
-        report.len(),
-        report.workers(),
-        report.completed_count(),
-        report.blocked_count(),
-        report.identified_count(),
+        summary.cells_total, summary.workers, totals.completed, totals.blocked, totals.identified,
     );
 
     for (title, groups) in [
-        (
-            "per sanitize policy",
-            report.group_by(|r| r.cell.sanitize.to_string()),
-        ),
-        (
-            "per isolation policy",
-            report.group_by(|r| r.cell.isolation.to_string()),
-        ),
-        (
-            "per scrape mode",
-            report.group_by(|r| r.cell.scrape_mode.to_string()),
-        ),
+        ("per sanitize policy", summary.axes.by_sanitize),
+        ("per isolation policy", summary.axes.by_isolation),
+        ("per scrape mode", by_scrape_mode),
     ] {
         println!("--- {title} ---");
         let mut table = TextTable::new(vec![
@@ -984,50 +1001,48 @@ fn campaign_stress(options: &Options) -> Result<(), Box<dyn std::error::Error>> 
     let boards = (0..125)
         .map(|i| (format!("fleet-{i:03}"), BoardConfig::tiny_for_tests()))
         .collect();
-    let spec = options.capped(
-        CampaignSpec::over_boards(boards)
-            .with_models(ModelKind::all().to_vec())
-            .with_inputs(vec![InputKind::SamplePhoto, InputKind::Corrupted])
-            .with_sanitize_policies(vec![
-                SanitizePolicy::None,
-                SanitizePolicy::ZeroOnFree,
-                SanitizePolicy::RowClone,
-                SanitizePolicy::SelectiveScrub,
-                SanitizePolicy::Background { delay_ticks: 1000 },
-            ])
-            .with_isolation_policies(vec![IsolationPolicy::Permissive, IsolationPolicy::Confined])
-            .with_scrape_modes(vec![ScrapeMode::ContiguousRange, ScrapeMode::PerPage])
-            .with_remanence_models(vec![
-                RemanenceModel::Perfect,
-                RemanenceModel::Exponential {
-                    half_life_ticks: 100,
-                },
-                RemanenceModel::Exponential {
-                    half_life_ticks: 10_000,
-                },
-                RemanenceModel::BitFlip { rate_ppm: 50 },
-                RemanenceModel::BitFlip { rate_ppm: 5_000 },
-            ])
-            .with_schedules(vec![
-                VictimSchedule::Single,
-                VictimSchedule::SequentialTraffic { predecessors: 2 },
-                VictimSchedule::Revival {
-                    successors: 1,
-                    reuse_pid: true,
-                },
-                VictimSchedule::Revival {
-                    successors: 2,
-                    reuse_pid: false,
-                },
-                VictimSchedule::LiveTraffic {
-                    tenants: 2,
-                    churn_rate: 1,
-                },
-            ])
-            .with_seed(2024),
-    );
+    let spec = CampaignSpec::over_boards(boards)
+        .with_models(ModelKind::all().to_vec())
+        .with_inputs(vec![InputKind::SamplePhoto, InputKind::Corrupted])
+        .with_sanitize_policies(vec![
+            SanitizePolicy::None,
+            SanitizePolicy::ZeroOnFree,
+            SanitizePolicy::RowClone,
+            SanitizePolicy::SelectiveScrub,
+            SanitizePolicy::Background { delay_ticks: 1000 },
+        ])
+        .with_isolation_policies(vec![IsolationPolicy::Permissive, IsolationPolicy::Confined])
+        .with_scrape_modes(vec![ScrapeMode::ContiguousRange, ScrapeMode::PerPage])
+        .with_remanence_models(vec![
+            RemanenceModel::Perfect,
+            RemanenceModel::Exponential {
+                half_life_ticks: 100,
+            },
+            RemanenceModel::Exponential {
+                half_life_ticks: 10_000,
+            },
+            RemanenceModel::BitFlip { rate_ppm: 50 },
+            RemanenceModel::BitFlip { rate_ppm: 5_000 },
+        ])
+        .with_schedules(vec![
+            VictimSchedule::Single,
+            VictimSchedule::SequentialTraffic { predecessors: 2 },
+            VictimSchedule::Revival {
+                successors: 1,
+                reuse_pid: true,
+            },
+            VictimSchedule::Revival {
+                successors: 2,
+                reuse_pid: false,
+            },
+            VictimSchedule::LiveTraffic {
+                tenants: 2,
+                churn_rate: 1,
+            },
+        ])
+        .with_seed(2024);
     let summary = spec.stream_with_executor(
-        StreamConfig::default(),
+        options.config.clone(),
         |cell| Ok(cell.synthetic_record()),
         |_| Ok(()),
         |progress| {

@@ -9,32 +9,33 @@
 //! - [`CampaignSpec::expand`] produces the full cross product as seeded
 //!   [`CampaignCell`]s in a fixed, documented order (independent of how the
 //!   campaign is later scheduled).
-//! - [`CampaignSpec::run`] executes the cells on a scoped worker pool
-//!   (`--jobs`-style concurrency), sharing one pre-built
-//!   [`ProfileDatabase`] per board instead of profiling in every cell, and
-//!   aggregates per-cell [`ScenarioMetrics`] into a [`CampaignReport`].
+//! - [`CampaignSpec::stream`] executes the cells on a scoped worker pool
+//!   ([`StreamConfig::with_workers`]), sharing one pre-built
+//!   [`ProfileDatabase`] per board instead of profiling in every cell, hands
+//!   each [`CellRecord`] to a visitor in cell-index order and folds its
+//!   [`ScenarioMetrics`] into a [`CampaignSummary`].
 //!
-//! Cell results are stored by cell index, so a report is **byte-identical
-//! regardless of worker count**: only the wall-clock fields differ between a
-//! serial and a 16-way run.
+//! Records reach the visitor and the fold in cell-index order, so a summary
+//! is **byte-identical regardless of worker count**: only the wall-clock
+//! fields differ between a serial and a 16-way run.
 //!
 //! # Example
 //!
 //! ```
-//! use msa_core::campaign::{CampaignSpec, InputKind};
+//! use msa_core::campaign::{CampaignSpec, InputKind, StreamConfig};
 //! use petalinux_sim::BoardConfig;
 //! use vitis_ai_sim::ModelKind;
 //! use zynq_dram::SanitizePolicy;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let report = CampaignSpec::new("tiny", BoardConfig::tiny_for_tests())
+//! let summary = CampaignSpec::new("tiny", BoardConfig::tiny_for_tests())
 //!     .with_models(vec![ModelKind::SqueezeNet, ModelKind::MobileNetV2])
 //!     .with_inputs(vec![InputKind::Corrupted])
 //!     .with_sanitize_policies(vec![SanitizePolicy::None, SanitizePolicy::SelectiveScrub])
-//!     .run()?;
-//! assert_eq!(report.len(), 4);
+//!     .stream(StreamConfig::default(), |_| Ok(()), |_| {})?;
+//! assert_eq!(summary.cells_total, 4);
 //! // Unsanitized cells leak; scrubbed cells do not.
-//! assert_eq!(report.identified_count(), 2);
+//! assert_eq!(summary.totals.identified, 2);
 //! # Ok(())
 //! # }
 //! ```
@@ -51,7 +52,6 @@ pub use stream::{
     StreamConfig,
 };
 
-use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use petalinux_sim::{BoardConfig, IsolationPolicy};
@@ -205,7 +205,9 @@ impl CampaignCell {
     }
 }
 
-/// A declarative scenario matrix plus execution knobs.
+/// A declarative scenario matrix: the axes, the base attack configuration
+/// and the campaign seed.  How it runs (workers, block size) is the
+/// [`StreamConfig`] handed to [`CampaignSpec::stream`].
 ///
 /// Axis semantics: `models`, `inputs`, `scrape_modes` and `schedules` always
 /// have at least one value.  The five board-override axes (`sanitize`,
@@ -231,7 +233,6 @@ pub struct CampaignSpec {
     reconstruct_modes: Option<Vec<bool>>,
     attack_config: AttackConfig,
     seed: u64,
-    jobs: Option<usize>,
 }
 
 impl CampaignSpec {
@@ -247,9 +248,9 @@ impl CampaignSpec {
     /// Unlike [`CampaignSpec::new`], the board axis may be empty — specs
     /// generated from external matrices can legitimately collapse to zero
     /// boards.  Such a spec expands to zero cells, and
-    /// [`CampaignSpec::run`] refuses it with the typed
+    /// [`CampaignSpec::stream`] refuses it with the typed
     /// [`AttackError::EmptyCampaign`] instead of producing a degenerate
-    /// report.
+    /// summary.
     pub fn over_boards(boards: Vec<(String, BoardConfig)>) -> Self {
         CampaignSpec {
             boards,
@@ -265,7 +266,6 @@ impl CampaignSpec {
             reconstruct_modes: None,
             attack_config: AttackConfig::default(),
             seed: 0,
-            jobs: None,
         }
     }
 
@@ -392,13 +392,6 @@ impl CampaignSpec {
         self
     }
 
-    /// Caps the worker pool at `jobs` threads (`--jobs` style).  Defaults to
-    /// the machine's available parallelism.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = Some(jobs.max(1));
-        self
-    }
-
     /// Number of cells the spec expands to.
     pub fn cell_count(&self) -> usize {
         self.boards.len()
@@ -500,95 +493,23 @@ impl CampaignSpec {
         }
     }
 
-    /// Runs the campaign on the default worker count (the configured
-    /// `--jobs` cap, else the machine's available parallelism).
+    /// Runs the campaign's real scenario pipeline under `config`.
+    ///
+    /// Every [`CellRecord`] goes to `visit` in strict cell-index order and
+    /// is not retained; `progress` is called after each folded cell group,
+    /// in group order (the hook behind `--stream` NDJSON output).  Peak
+    /// memory is bounded by the in-flight window (O(workers) cells), never
+    /// by the matrix size, and the summary's deterministic surface
+    /// ([`CampaignSummary::deterministic_json`]) is byte-identical
+    /// regardless of worker count or completion order.
     ///
     /// # Errors
     ///
-    /// Returns the first (lowest cell index) hard error; isolation denials
-    /// are data ([`ScenarioResult::Blocked`]), not errors.  A spec expanding
-    /// to zero cells is [`AttackError::EmptyCampaign`].
-    pub fn run(&self) -> Result<CampaignReport, AttackError> {
-        let workers = self.jobs.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        });
-        self.run_with_workers(workers)
-    }
-
-    /// Runs the campaign on exactly `workers` pool threads.
-    ///
-    /// This is a thin batch wrapper over the streaming engine: the visitor
-    /// collects every [`CellRecord`] into the report.  Records arrive in
-    /// cell-index order, so the report content does not depend on `workers`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AttackError::EmptyCampaign`] when the axes expand to zero
-    /// cells (e.g. an empty board axis from [`CampaignSpec::over_boards`]),
-    /// otherwise the first (lowest cell index) hard error.
-    pub fn run_with_workers(&self, workers: usize) -> Result<CampaignReport, AttackError> {
-        let mut records = Vec::with_capacity(self.cell_count());
-        let summary =
-            self.stream_cells(StreamConfig::default().with_workers(workers), |record| {
-                records.push(record);
-                Ok(())
-            })?;
-        Ok(CampaignReport {
-            cells: records,
-            workers: summary.workers,
-        })
-    }
-
-    /// Streams the campaign under `config`, folding per-cell metrics into a
-    /// [`CampaignSummary`] as cells complete — peak memory is bounded by the
-    /// in-flight window (O(workers) cells), never by the matrix size.
-    ///
-    /// The fold is normalized to cell-index order, so the summary's
-    /// deterministic surface ([`CampaignSummary::deterministic_json`]) is
-    /// byte-identical regardless of worker count or completion order.
-    ///
-    /// # Errors
-    ///
-    /// [`AttackError::EmptyCampaign`] for a zero-cell spec, otherwise the
-    /// first (lowest cell index) hard error.
-    pub fn stream(&self, config: StreamConfig) -> Result<CampaignSummary, AttackError> {
-        self.stream_observed(config, |_| Ok(()), |_| {})
-    }
-
-    /// Streams the campaign, invoking `progress` after each folded cell
-    /// group (in group order) — the hook behind `--stream` NDJSON output.
-    pub fn stream_with_progress<P>(
-        &self,
-        config: StreamConfig,
-        progress: P,
-    ) -> Result<CampaignSummary, AttackError>
-    where
-        P: FnMut(&GroupProgress),
-    {
-        self.stream_observed(config, |_| Ok(()), progress)
-    }
-
-    /// Streams the campaign, handing every [`CellRecord`] to `visit` in
-    /// strict cell-index order without retaining it — the constant-memory
-    /// replacement for `run()?.cells()` iteration.
-    ///
-    /// A `visit` error aborts the stream and is returned as-is.
-    pub fn stream_cells<V>(
-        &self,
-        config: StreamConfig,
-        visit: V,
-    ) -> Result<CampaignSummary, AttackError>
-    where
-        V: FnMut(CellRecord) -> Result<(), AttackError>,
-    {
-        self.stream_observed(config, visit, |_| {})
-    }
-
-    /// Streams the campaign with both a per-cell visitor and a per-group
-    /// progress hook (each called in deterministic order).
-    pub fn stream_observed<V, P>(
+    /// [`AttackError::EmptyCampaign`] for a zero-cell spec (e.g. an empty
+    /// board axis from [`CampaignSpec::over_boards`]), otherwise the first
+    /// (lowest cell index) hard error or `visit` error.  Isolation denials
+    /// are data ([`ScenarioResult::Blocked`]), not errors.
+    pub fn stream<V, P>(
         &self,
         config: StreamConfig,
         visit: V,
@@ -735,14 +656,6 @@ impl CellRecord {
         matches!(self.result, ScenarioResult::Completed)
     }
 
-    /// The step the isolation policy denied, when the cell was blocked.
-    pub fn blocked_step(&self) -> Option<&str> {
-        match &self.result {
-            ScenarioResult::Completed => None,
-            ScenarioResult::Blocked { step } => Some(step),
-        }
-    }
-
     /// `true` when the attack correctly identified the victim model.
     pub fn identified(&self) -> bool {
         self.metrics.as_ref().is_some_and(|m| m.model_identified)
@@ -763,11 +676,10 @@ impl CellRecord {
 /// Success/recovery/blocked aggregates over one group of cells.
 ///
 /// Each mean is computed over its *relevant* denominator: blocked cells
-/// (which never produced metrics) no longer drag `mean_pixel_recovery`
-/// toward zero, and cells without a revival schedule no longer dilute
-/// `mean_revival_inheritance`.  The old blocked-cells-count-as-zero
-/// semantics survives only on the documented report-wide
-/// [`CampaignReport::mean_pixel_recovery`].
+/// (which never produced metrics) do not drag `mean_pixel_recovery`
+/// toward zero, and cells without a revival schedule do not dilute
+/// `mean_revival_inheritance`.  This is the one definition of mean
+/// recovery: campaign totals ([`CampaignSummary::totals`]) use it too.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct GroupStats {
     /// Cells in the group.
@@ -907,95 +819,43 @@ impl GroupStats {
     }
 }
 
-/// Aggregated result of a campaign run: per-cell records in deterministic
-/// cell order plus grouped success/recovery/blocked rates.
-#[derive(Debug, Clone)]
-pub struct CampaignReport {
-    cells: Vec<CellRecord>,
-    workers: usize,
-}
-
-impl CampaignReport {
-    /// The per-cell records, ordered by cell index (worker-count
-    /// independent).
-    pub fn cells(&self) -> &[CellRecord] {
-        &self.cells
-    }
-
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// `true` when the campaign had no cells.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Worker threads the run used.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Cells whose attack ran to completion.
-    pub fn completed_count(&self) -> usize {
-        self.cells.iter().filter(|c| c.completed()).count()
-    }
-
-    /// Cells blocked by the isolation policy.
-    pub fn blocked_count(&self) -> usize {
-        self.len() - self.completed_count()
-    }
-
-    /// Cells that identified the correct victim model.
-    pub fn identified_count(&self) -> usize {
-        self.cells.iter().filter(|c| c.identified()).count()
-    }
-
-    /// Mean pixel recovery across all cells (blocked cells count as 0).
-    pub fn mean_pixel_recovery(&self) -> f64 {
-        if self.cells.is_empty() {
-            return 0.0;
-        }
-        self.cells
-            .iter()
-            .map(CellRecord::pixel_recovery)
-            .sum::<f64>()
-            / self.len() as f64
-    }
-
-    /// Groups cells by `key` and aggregates each group, in key order.
-    pub fn group_by<K, F>(&self, key: F) -> BTreeMap<K, GroupStats>
-    where
-        K: Ord,
-        F: Fn(&CellRecord) -> K,
-    {
-        let mut groups: BTreeMap<K, GroupStats> = BTreeMap::new();
-        for record in &self.cells {
-            groups.entry(key(record)).or_default().absorb(record);
-        }
-        groups
-    }
-
-    /// Re-derives the streaming [`CampaignSummary`] from the batch records,
-    /// folding with the same [`CampaignAccumulator`] in the same cell order
-    /// — so batch and streaming runs of one spec agree field for field on
-    /// the deterministic surface.
-    pub fn summary(&self) -> CampaignSummary {
-        let mut accumulator = CampaignAccumulator::new();
-        for record in &self.cells {
-            accumulator.absorb(record);
-        }
-        accumulator.into_summary(self.workers, 0, self.len(), Vec::new())
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     fn tiny_spec() -> CampaignSpec {
         CampaignSpec::new("tiny", BoardConfig::tiny_for_tests())
+    }
+
+    /// Streams `spec` on `workers` pool threads, collecting every record in
+    /// cell-index order.
+    fn run_records(spec: &CampaignSpec, workers: usize) -> (CampaignSummary, Vec<CellRecord>) {
+        let mut records = Vec::new();
+        let summary = spec
+            .stream(
+                StreamConfig::new().with_workers(workers),
+                |record| {
+                    records.push(record);
+                    Ok(())
+                },
+                |_| {},
+            )
+            .unwrap();
+        (summary, records)
+    }
+
+    /// Folds `records` into one [`GroupStats`] per `key`, in key order.
+    fn group_by<K: Ord>(
+        records: &[CellRecord],
+        key: impl Fn(&CellRecord) -> K,
+    ) -> BTreeMap<K, GroupStats> {
+        let mut groups: BTreeMap<K, GroupStats> = BTreeMap::new();
+        for record in records {
+            groups.entry(key(record)).or_default().absorb(record);
+        }
+        groups
     }
 
     #[test]
@@ -1064,24 +924,22 @@ mod tests {
 
     #[test]
     fn campaign_runs_and_aggregates() {
-        let report = tiny_spec()
+        let spec = tiny_spec()
             .with_models(vec![ModelKind::SqueezeNet])
             .with_inputs(vec![InputKind::Corrupted])
             .with_sanitize_policies(vec![SanitizePolicy::None, SanitizePolicy::SelectiveScrub])
-            .with_isolation_policies(vec![IsolationPolicy::Permissive, IsolationPolicy::Confined])
-            .with_jobs(2)
-            .run()
-            .unwrap();
-        assert_eq!(report.len(), 4);
-        assert_eq!(report.workers(), 2);
-        assert_eq!(report.completed_count(), 2);
-        assert_eq!(report.blocked_count(), 2);
+            .with_isolation_policies(vec![IsolationPolicy::Permissive, IsolationPolicy::Confined]);
+        let (summary, records) = run_records(&spec, 2);
+        assert_eq!(summary.cells_total, 4);
+        assert_eq!(records.len(), 4);
+        assert_eq!(summary.workers, 2);
+        assert_eq!(summary.totals.completed, 2);
+        assert_eq!(summary.totals.blocked, 2);
         // Only the unsanitized + permissive cell leaks.
-        assert_eq!(report.identified_count(), 1);
-        assert!(report.mean_pixel_recovery() > 0.0);
-        assert!(!report.is_empty());
+        assert_eq!(summary.totals.identified, 1);
+        assert!(summary.totals.mean_pixel_recovery > 0.0);
 
-        let by_isolation = report.group_by(|r| r.cell.isolation.to_string());
+        let by_isolation = &summary.axes.by_isolation;
         assert_eq!(by_isolation.len(), 2);
         let confined = &by_isolation["confined"];
         assert_eq!(confined.cells, 2);
@@ -1092,17 +950,16 @@ mod tests {
         assert_eq!(permissive.completed, 2);
         assert_eq!(permissive.identified, 1);
 
-        let blocked: Vec<_> = report
-            .cells()
+        let blocked = records
             .iter()
-            .filter_map(CellRecord::blocked_step)
-            .collect();
-        assert_eq!(blocked.len(), 2);
+            .filter(|r| matches!(r.result, ScenarioResult::Blocked { .. }))
+            .count();
+        assert_eq!(blocked, 2);
     }
 
     #[test]
     fn residue_lifetime_schedules_compose_with_the_sanitize_axis() {
-        let report = tiny_spec()
+        let spec = tiny_spec()
             .with_models(vec![ModelKind::SqueezeNet])
             .with_inputs(vec![InputKind::Corrupted])
             .with_sanitize_policies(vec![SanitizePolicy::None, SanitizePolicy::ZeroOnFree])
@@ -1115,14 +972,12 @@ mod tests {
                     tenants: 1,
                     churn_rate: 2,
                 },
-            ])
-            .with_jobs(2)
-            .run()
-            .unwrap();
-        assert_eq!(report.len(), 4);
+            ]);
+        let (summary, records) = run_records(&spec, 2);
+        assert_eq!(records.len(), 4);
 
         // Expansion order: sanitize varies slower than schedule.
-        let lifetime = |i: usize| report.cells()[i].metrics.as_ref().unwrap().residue_lifetime;
+        let lifetime = |i: usize| records[i].metrics.as_ref().unwrap().residue_lifetime;
         // Unsanitized revival: the successor inherited victim residue.
         assert!(lifetime(0).revival_inherited_frames > 0);
         // Unsanitized live traffic: churn ran during the scrape.
@@ -1133,7 +988,7 @@ mod tests {
         assert_eq!(lifetime(2).inheritance_rate(), 0.0);
 
         // Aggregation surfaces the same story per schedule group.
-        let by_schedule = report.group_by(|r| r.cell.schedule.to_string());
+        let by_schedule = &summary.axes.by_schedule;
         let revival = &by_schedule["revival(1,reuse-pid)"];
         assert!(revival.revival_inherited_frames > 0);
         assert!(revival.mean_revival_inheritance > 0.0);
@@ -1160,18 +1015,18 @@ mod tests {
                 churn_rate: 2,
             }])
             .with_seed(41);
-        let single = spec.run_with_workers(1).unwrap();
-        let fanned = spec.run_with_workers(4).unwrap();
+        let (_, single) = run_records(&spec, 1);
+        let (fanned_summary, fanned) = run_records(&spec, 4);
         assert_eq!(single.len(), fanned.len());
-        assert_eq!(fanned.workers(), 4);
-        for (a, b) in single.cells().iter().zip(fanned.cells()) {
+        assert_eq!(fanned_summary.workers, 4);
+        for (a, b) in single.iter().zip(&fanned) {
             assert_eq!(a.cell, b.cell);
             assert_eq!(a.result, b.result);
             assert_eq!(a.metrics, b.metrics);
         }
         // The cells actually exercised the fixed path: live churn fired and
         // the scrape completed with a real multi-snapshot fusion.
-        let metrics = single.cells()[0].metrics.as_ref().unwrap();
+        let metrics = single[0].metrics.as_ref().unwrap();
         assert!(metrics.residue_lifetime.churn_events > 0);
         assert!(metrics.bytes_scraped > 0);
     }
@@ -1361,17 +1216,18 @@ mod tests {
         let spec = CampaignSpec::over_boards(Vec::new());
         assert_eq!(spec.cell_count(), 0);
         assert!(spec.expand().is_empty());
-        assert!(matches!(spec.run(), Err(AttackError::EmptyCampaign)));
-        assert!(matches!(
-            spec.run_with_workers(4),
-            Err(AttackError::EmptyCampaign)
-        ));
+        for config in [StreamConfig::new(), StreamConfig::new().with_workers(4)] {
+            assert!(matches!(
+                spec.stream(config, |_| Ok(()), |_| {}),
+                Err(AttackError::EmptyCampaign)
+            ));
+        }
         // A non-empty explicit board axis still runs normally.
-        let report =
-            CampaignSpec::over_boards(vec![("tiny".to_string(), BoardConfig::tiny_for_tests())])
-                .run()
-                .unwrap();
-        assert_eq!(report.len(), 1);
+        let spec =
+            CampaignSpec::over_boards(vec![("tiny".to_string(), BoardConfig::tiny_for_tests())]);
+        let (summary, records) = run_records(&spec, 2);
+        assert_eq!(summary.cells_total, 1);
+        assert_eq!(records.len(), 1);
     }
 
     #[test]
@@ -1396,9 +1252,9 @@ mod tests {
         assert!(!cells[0].label().contains("perfect"));
         assert!(cells[1].label().contains("exponential(hl=1)"));
 
-        let report = swept.run().unwrap();
-        let perfect = report.cells()[0].metrics.as_ref().unwrap();
-        let decayed = report.cells()[1].metrics.as_ref().unwrap();
+        let (_, records) = run_records(&swept, 2);
+        let perfect = records[0].metrics.as_ref().unwrap();
+        let decayed = records[1].metrics.as_ref().unwrap();
         assert_eq!(perfect.residue_bits_flipped, 0);
         assert!(perfect.pixel_recovery > 0.99);
         assert!(decayed.residue_bits_flipped > 0);
@@ -1408,20 +1264,21 @@ mod tests {
         // same cell from a spec that never mentions remanence... except for
         // the cell seed, which is index-mixed — so compare against a
         // baseline whose perfect cell sits at the same index.
-        let baseline = tiny_spec()
-            .with_models(vec![ModelKind::SqueezeNet])
-            .with_inputs(vec![InputKind::Corrupted])
-            .with_seed(3)
-            .run()
-            .unwrap();
+        let (_, baseline) = run_records(
+            &tiny_spec()
+                .with_models(vec![ModelKind::SqueezeNet])
+                .with_inputs(vec![InputKind::Corrupted])
+                .with_seed(3),
+            2,
+        );
         assert_eq!(
-            baseline.cells()[0].metrics.as_ref().unwrap(),
+            baseline[0].metrics.as_ref().unwrap(),
             perfect,
             "perfect remanence must reproduce the pre-remanence results"
         );
 
         // Aggregation carries the fidelity totals.
-        let groups = report.group_by(|r| r.cell.remanence.to_string());
+        let groups = group_by(&records, |r| r.cell.remanence.to_string());
         assert_eq!(groups.len(), 2);
         assert_eq!(groups["perfect"].residue_bits_flipped, 0);
         assert_eq!(groups["perfect"].mean_decayed_recovery, 1.0);
@@ -1449,9 +1306,9 @@ mod tests {
         assert_eq!(unswept[0].reconstruct, None);
         assert!(!unswept[0].label().contains("reconstruct"));
 
-        let report = swept.run().unwrap();
-        let exact = report.cells()[0].metrics.as_ref().unwrap();
-        let repaired = report.cells()[1].metrics.as_ref().unwrap();
+        let (_, records) = run_records(&swept, 2);
+        let exact = records[0].metrics.as_ref().unwrap();
+        let repaired = records[1].metrics.as_ref().unwrap();
         // At a one-tick half-life the exact matcher loses the signature;
         // fuzzy identification recovers the model and neighbor repair lifts
         // pixel recovery above the raw decayed read.
@@ -1460,7 +1317,7 @@ mod tests {
         assert!(repaired.pixel_recovery > exact.pixel_recovery);
 
         // Aggregation splits cleanly along the new axis.
-        let groups = report.group_by(|r| {
+        let groups = group_by(&records, |r| {
             r.cell
                 .reconstruct
                 .map_or_else(|| "default".into(), |on| on.to_string())

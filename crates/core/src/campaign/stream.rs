@@ -10,10 +10,13 @@
 //! regardless of worker count or scheduling.
 //!
 //! Memory is bounded by the in-flight window, not the matrix: a worker may
-//! not claim a new block while `max_ready_blocks` completed blocks await
-//! folding (backpressure), so peak resident cells is
-//! O(workers + max_ready_blocks) · block size — a 1,000,000-cell campaign
-//! streams through a few thousand resident cells.
+//! not claim a new block while `workers + 2` completed blocks await folding
+//! (backpressure), so peak resident cells is O(workers) · block size — a
+//! 1,000,000-cell campaign streams through a few thousand resident cells.
+//!
+//! [`super::CampaignSpec::stream`] runs the real scenario pipeline through
+//! this engine; [`super::CampaignSpec::stream_with_executor`] runs a
+//! caller-supplied executor (the synthetic suites and the benchmark).
 //!
 //! For tests, [`Adversary`] deliberately withholds completed blocks and
 //! releases them in reverse or shuffled order, proving the reorder buffer
@@ -36,12 +39,12 @@ use crate::scenario::splitmix64;
 use super::{CampaignCell, CampaignSpec, CellRecord, GroupStats};
 
 /// Execution knobs of the streaming engine — all optional; the defaults
-/// resolve from the spec (`--jobs` cap) and the matrix size.
+/// resolve from the machine (worker count) and the matrix size (block
+/// size).
 #[derive(Debug, Clone, Default)]
 pub struct StreamConfig {
     workers: Option<usize>,
     block_size: Option<usize>,
-    max_ready_blocks: Option<usize>,
     adversary: Option<Adversary>,
 }
 
@@ -51,8 +54,8 @@ impl StreamConfig {
         StreamConfig::default()
     }
 
-    /// Pins the worker count (otherwise the spec's `--jobs` cap, else the
-    /// machine's available parallelism).
+    /// Pins the worker count (otherwise the machine's available
+    /// parallelism).  It is the engine's only worker-count knob.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self
@@ -65,13 +68,6 @@ impl StreamConfig {
     /// settings.
     pub fn with_block_size(mut self, cells: usize) -> Self {
         self.block_size = Some(cells.max(1));
-        self
-    }
-
-    /// Pins the backpressure window: workers stop claiming new blocks while
-    /// this many completed blocks await folding (default: workers + 2).
-    pub fn with_max_ready_blocks(mut self, blocks: usize) -> Self {
-        self.max_ready_blocks = Some(blocks.max(1));
         self
     }
 
@@ -197,12 +193,6 @@ pub struct AxisGroups {
     pub by_schedule: BTreeMap<String, GroupStats>,
 }
 
-fn merge_groups(into: &mut BTreeMap<String, GroupStats>, from: &BTreeMap<String, GroupStats>) {
-    for (key, stats) in from {
-        into.entry(key.clone()).or_default().merge(stats);
-    }
-}
-
 fn groups_json(map: &BTreeMap<String, GroupStats>) -> String {
     let mut obj = JsonObject::new();
     for (key, stats) in map {
@@ -261,17 +251,6 @@ impl AxisGroups {
             .absorb(record);
     }
 
-    /// Merges another partial aggregate into this one, group-wise, with the
-    /// count-weighted [`GroupStats::merge`] combination.
-    pub fn merge(&mut self, other: &AxisGroups) {
-        merge_groups(&mut self.by_board, &other.by_board);
-        merge_groups(&mut self.by_model, &other.by_model);
-        merge_groups(&mut self.by_input, &other.by_input);
-        merge_groups(&mut self.by_sanitize, &other.by_sanitize);
-        merge_groups(&mut self.by_isolation, &other.by_isolation);
-        merge_groups(&mut self.by_schedule, &other.by_schedule);
-    }
-
     fn to_json(&self) -> String {
         JsonObject::new()
             .raw("board", &groups_json(&self.by_board))
@@ -288,9 +267,8 @@ impl AxisGroups {
 /// campaign totals plus per-axis groups, always in final (no separate
 /// finalization) form.
 ///
-/// The engine folds in strict cell-index order for bit-identical results;
-/// [`CampaignAccumulator::merge`] additionally supports count-weighted
-/// tree-shaped combination of independently built partials.
+/// The engine folds in strict cell-index order for bit-identical results,
+/// so a serial fold of the same records reproduces its summary exactly.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignAccumulator {
     totals: GroupStats,
@@ -307,13 +285,6 @@ impl CampaignAccumulator {
     pub fn absorb(&mut self, record: &CellRecord) {
         self.totals.absorb(record);
         self.axes.absorb(record);
-    }
-
-    /// Merges another independently built accumulator into this one
-    /// (Chan-style count-weighted combination; see [`GroupStats::merge`]).
-    pub fn merge(&mut self, other: &CampaignAccumulator) {
-        self.totals.merge(&other.totals);
-        self.axes.merge(&other.axes);
     }
 
     /// Campaign-wide totals folded so far.
@@ -358,8 +329,7 @@ pub struct CampaignSummary {
     pub axes: AxisGroups,
     /// Worker threads the run used (after clamping to the matrix size).
     pub workers: usize,
-    /// Cells per claim block (0 for summaries re-derived from batch
-    /// reports, which have no block structure).
+    /// Cells per claim block.
     pub block_size: usize,
     /// Peak cells simultaneously resident (claimed or awaiting fold).
     pub peak_resident_cells: usize,
@@ -443,8 +413,8 @@ struct Shared {
 ///
 /// `executor` produces each cell's record (real scenario or synthetic),
 /// `visit` receives every record in strict cell-index order, `progress` is
-/// called after each folded group.  See the `stream_*` methods on
-/// [`CampaignSpec`] for the public entry points.
+/// called after each folded group.  [`CampaignSpec::stream`] and
+/// [`CampaignSpec::stream_with_executor`] are the public entry points.
 pub(crate) fn run<E, V, P>(
     spec: &CampaignSpec,
     config: &StreamConfig,
@@ -468,14 +438,14 @@ where
     let blocks = cells_total.div_ceil(block_size);
     let workers = config
         .workers
-        .or(spec.jobs)
         .unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
         })
         .clamp(1, cells_total);
-    let max_ready = config.max_ready_blocks.unwrap_or(workers + 2).max(1);
+    // Backpressure window: completed blocks allowed to await folding.
+    let max_ready = workers + 2;
     let adversary = config.adversary;
 
     let shared = Mutex::new(Shared {
@@ -930,31 +900,6 @@ mod tests {
         );
         assert!(!bench.contains("_ms\":"));
         assert!(!bench.contains("per_sec\":"));
-    }
-
-    #[test]
-    fn accumulator_merge_matches_serial_fold() {
-        let spec = synthetic_spec();
-        let records: Vec<CellRecord> = spec.cells().map(|cell| cell.synthetic_record()).collect();
-        let mut serial = CampaignAccumulator::new();
-        for record in &records {
-            serial.absorb(record);
-        }
-        let mut left = CampaignAccumulator::new();
-        let mut right = CampaignAccumulator::new();
-        for record in &records[..2] {
-            left.absorb(record);
-        }
-        for record in &records[2..] {
-            right.absorb(record);
-        }
-        left.merge(&right);
-        assert_eq!(left.totals().cells, serial.totals().cells);
-        assert_eq!(left.totals().completed, serial.totals().completed);
-        assert!(
-            (left.totals().mean_pixel_recovery - serial.totals().mean_pixel_recovery).abs() < 1e-12
-        );
-        assert_eq!(left.axes().by_model.len(), serial.axes().by_model.len());
     }
 
     #[test]

@@ -6,13 +6,13 @@
 //! debugger, and randomizing layout.  These sweeps supply the missing numbers
 //! (experiments TAB-B, TAB-D, TAB-F and the isolation ablation).
 //!
-//! Each sweep is a thin [`CampaignSpec`] over the [`crate::campaign`] engine:
-//! the spec declares the axis being swept, the shared worker pool executes
-//! the cells (amortizing offline profiling across the sweep), and the rows
-//! below are projections of the resulting [`CellRecord`]s.  The larger
-//! sweeps project their rows through the streaming visitor
-//! ([`CampaignSpec::stream_cells`]) — records are consumed in cell-index
-//! order as they complete, never held as a batch.
+//! Nine sweeps (`evaluate_*`) run on the [`crate::campaign`] engine.  Each
+//! is one [`CampaignSpec`] declaring the swept axis plus one row projection,
+//! handed to a single private helper that streams the spec
+//! ([`CampaignSpec::stream`]) under the caller's [`StreamConfig`] and maps
+//! every [`CellRecord`], in cell-index order, to a row.  The worker pool
+//! shares offline profiling across the sweep, and the rows come out in the
+//! same order whatever the worker count.
 //!
 //! Because every sweep fans out exclusively through the streaming engine,
 //! its collector's exactly-once fold audit covers this module's parallelism
@@ -38,6 +38,33 @@ fn swept_policies() -> Vec<SanitizePolicy> {
     let mut policies: Vec<SanitizePolicy> = SanitizePolicy::all_basic().to_vec();
     policies.push(SanitizePolicy::Background { delay_ticks: 1000 });
     policies
+}
+
+/// A sweep's base spec: one victim model fed the marked (corrupted) input.
+fn victim_spec(name: &str, board: BoardConfig, model: ModelKind) -> CampaignSpec {
+    CampaignSpec::new(name, board)
+        .with_models(vec![model])
+        .with_inputs(vec![InputKind::Corrupted])
+}
+
+/// Streams `spec` under `config` and projects every record, in cell-index
+/// order, to one row.  A projection error (a blocked cell, through
+/// [`completed_metrics`]) ends the sweep with that error.
+fn sweep<R>(
+    spec: CampaignSpec,
+    config: &StreamConfig,
+    mut project: impl FnMut(&CellRecord) -> Result<R, AttackError>,
+) -> Result<Vec<R>, AttackError> {
+    let mut rows = Vec::with_capacity(spec.cell_count());
+    spec.stream(
+        config.clone(),
+        |record| {
+            rows.push(project(&record)?);
+            Ok(())
+        },
+        |_| {},
+    )?;
+    Ok(rows)
 }
 
 /// The metrics of a cell that a sweep requires to have completed.
@@ -82,25 +109,20 @@ pub struct SanitizeRow {
 pub fn evaluate_sanitize_policies(
     board: BoardConfig,
     model: ModelKind,
+    config: &StreamConfig,
 ) -> Result<Vec<SanitizeRow>, AttackError> {
-    let mut rows = Vec::new();
-    CampaignSpec::new("sanitize-sweep", board)
-        .with_models(vec![model])
-        .with_inputs(vec![InputKind::Corrupted])
-        .with_sanitize_policies(swept_policies())
-        .stream_cells(StreamConfig::default(), |record| {
-            let metrics = completed_metrics(&record)?;
-            rows.push(SanitizeRow {
-                policy: record.cell.sanitize,
-                model_identified: metrics.model_identified,
-                pixel_recovery: metrics.pixel_recovery,
-                residue_frames: metrics.residue_frames,
-                scrub_cost_cycles: metrics.scrub_cost_cycles,
-                collateral_bytes: metrics.collateral_bytes,
-            });
-            Ok(())
-        })?;
-    Ok(rows)
+    let spec = victim_spec("sanitize-sweep", board, model).with_sanitize_policies(swept_policies());
+    sweep(spec, config, |record| {
+        let metrics = completed_metrics(record)?;
+        Ok(SanitizeRow {
+            policy: record.cell.sanitize,
+            model_identified: metrics.model_identified,
+            pixel_recovery: metrics.pixel_recovery,
+            residue_frames: metrics.residue_frames,
+            scrub_cost_cycles: metrics.scrub_cost_cycles,
+            collateral_bytes: metrics.collateral_bytes,
+        })
+    })
 }
 
 /// One row of the isolation-policy ablation.
@@ -120,39 +142,30 @@ pub struct IsolationRow {
 
 /// Compares the permissive (vulnerable) and confined isolation policies.
 ///
+/// Unlike the other sweeps, a blocked cell is a row here, not an error.
+///
 /// # Errors
 ///
 /// Propagates non-permission attack errors.
 pub fn evaluate_isolation(
     board: BoardConfig,
     model: ModelKind,
+    config: &StreamConfig,
 ) -> Result<Vec<IsolationRow>, AttackError> {
-    let report = CampaignSpec::new("isolation-ablation", board)
-        .with_models(vec![model])
-        .with_inputs(vec![InputKind::Corrupted])
-        .with_isolation_policies(vec![IsolationPolicy::Permissive, IsolationPolicy::Confined])
-        .run()?;
-    Ok(report
-        .cells()
-        .iter()
-        .map(|record| match (&record.result, &record.metrics) {
-            (ScenarioResult::Completed, Some(metrics)) => IsolationRow {
-                isolation: record.cell.isolation,
-                attack_completed: true,
-                model_identified: metrics.model_identified,
-                pixel_recovery: metrics.pixel_recovery,
-                blocked_at: None,
+    let spec = victim_spec("isolation-ablation", board, model)
+        .with_isolation_policies(vec![IsolationPolicy::Permissive, IsolationPolicy::Confined]);
+    sweep(spec, config, |record| {
+        Ok(IsolationRow {
+            isolation: record.cell.isolation,
+            attack_completed: record.completed(),
+            model_identified: record.identified(),
+            pixel_recovery: record.pixel_recovery(),
+            blocked_at: match &record.result {
+                ScenarioResult::Completed => None,
+                ScenarioResult::Blocked { step } => Some(step.clone()),
             },
-            (ScenarioResult::Blocked { step }, _) => IsolationRow {
-                isolation: record.cell.isolation,
-                attack_completed: false,
-                model_identified: false,
-                pixel_recovery: 0.0,
-                blocked_at: Some(step.clone()),
-            },
-            (ScenarioResult::Completed, None) => unreachable!("completed cell has metrics"),
         })
-        .collect())
+    })
 }
 
 /// One row of the layout-randomization sweep (TAB-D).
@@ -180,29 +193,25 @@ pub struct LayoutRow {
 pub fn evaluate_layout_randomization(
     board: BoardConfig,
     model: ModelKind,
+    config: &StreamConfig,
 ) -> Result<Vec<LayoutRow>, AttackError> {
-    let mut rows = Vec::new();
-    CampaignSpec::new("layout-sweep", board)
-        .with_models(vec![model])
-        .with_inputs(vec![InputKind::Corrupted])
+    let spec = victim_spec("layout-sweep", board, model)
         .with_aslr_modes(vec![AslrMode::Disabled, AslrMode::Virtual { seed: 7 }])
         .with_allocation_orders(vec![
             AllocationOrder::Sequential,
             AllocationOrder::Randomized { seed: 0xC0FFEE },
         ])
-        .with_scrape_modes(vec![ScrapeMode::ContiguousRange, ScrapeMode::PerPage])
-        .stream_cells(StreamConfig::default(), |record| {
-            let metrics = completed_metrics(&record)?;
-            rows.push(LayoutRow {
-                allocation_order: record.cell.allocation_order,
-                aslr: record.cell.aslr,
-                scrape_mode: record.cell.scrape_mode,
-                model_identified: metrics.model_identified,
-                pixel_recovery: metrics.pixel_recovery,
-            });
-            Ok(())
-        })?;
-    Ok(rows)
+        .with_scrape_modes(vec![ScrapeMode::ContiguousRange, ScrapeMode::PerPage]);
+    sweep(spec, config, |record| {
+        let metrics = completed_metrics(record)?;
+        Ok(LayoutRow {
+            allocation_order: record.cell.allocation_order,
+            aslr: record.cell.aslr,
+            scrape_mode: record.cell.scrape_mode,
+            model_identified: metrics.model_identified,
+            pixel_recovery: metrics.pixel_recovery,
+        })
+    })
 }
 
 /// One row of the remanence sweep: what the attack still recovers when the
@@ -253,28 +262,24 @@ pub fn swept_remanence_models() -> Vec<RemanenceModel> {
 pub fn evaluate_remanence(
     board: BoardConfig,
     model: ModelKind,
+    config: &StreamConfig,
 ) -> Result<Vec<RemanenceRow>, AttackError> {
-    let mut rows = Vec::new();
-    CampaignSpec::new("remanence-sweep", board)
-        .with_models(vec![model])
-        .with_inputs(vec![InputKind::Corrupted])
+    let spec = victim_spec("remanence-sweep", board, model)
         .with_remanence_models(swept_remanence_models())
-        .with_scrape_modes(vec![ScrapeMode::ContiguousRange])
-        .stream_cells(StreamConfig::default(), |record| {
-            let metrics = completed_metrics(&record)?;
-            let lifetime = metrics.residue_lifetime;
-            rows.push(RemanenceRow {
-                remanence: record.cell.remanence,
-                model_identified: metrics.model_identified,
-                pixel_recovery: metrics.pixel_recovery,
-                residue_bytes_raw: lifetime.residue_bytes_raw,
-                residue_bytes_decayed: lifetime.residue_bytes_decayed,
-                residue_bits_flipped: lifetime.residue_bits_flipped,
-                decayed_recovery: lifetime.decayed_recovery_rate(),
-            });
-            Ok(())
-        })?;
-    Ok(rows)
+        .with_scrape_modes(vec![ScrapeMode::ContiguousRange]);
+    sweep(spec, config, |record| {
+        let metrics = completed_metrics(record)?;
+        let lifetime = metrics.residue_lifetime;
+        Ok(RemanenceRow {
+            remanence: record.cell.remanence,
+            model_identified: metrics.model_identified,
+            pixel_recovery: metrics.pixel_recovery,
+            residue_bytes_raw: lifetime.residue_bytes_raw,
+            residue_bytes_decayed: lifetime.residue_bytes_decayed,
+            residue_bits_flipped: lifetime.residue_bits_flipped,
+            decayed_recovery: lifetime.decayed_recovery_rate(),
+        })
+    })
 }
 
 /// One row of the reconstruction sweep: what the raw exact-matching attacker
@@ -335,32 +340,27 @@ pub fn evaluate_reconstruction(
     board: BoardConfig,
     model: ModelKind,
     snapshots: usize,
+    config: &StreamConfig,
 ) -> Result<Vec<ReconstructRow>, AttackError> {
-    type Projection = (bool, f64, f64);
-    let sweep = |mode: ScrapeMode, reconstruct: bool| -> Result<Vec<Projection>, AttackError> {
-        let mut rows = Vec::new();
-        CampaignSpec::new("remanence-sweep", board)
-            .with_models(vec![model])
-            .with_inputs(vec![InputKind::Corrupted])
+    let attacker = |mode: ScrapeMode, reconstruct: bool| {
+        let spec = victim_spec("remanence-sweep", board, model)
             .with_remanence_models(swept_remanence_models())
             .with_scrape_modes(vec![mode])
             .with_attack_config(AttackConfig {
                 reconstruct,
                 ..AttackConfig::default()
-            })
-            .stream_cells(StreamConfig::default(), |record| {
-                let metrics = completed_metrics(&record)?;
-                rows.push((
-                    metrics.model_identified,
-                    metrics.pixel_recovery,
-                    metrics.residue_lifetime.decayed_recovery_rate(),
-                ));
-                Ok(())
-            })?;
-        Ok(rows)
+            });
+        sweep(spec, config, |record| {
+            let metrics = completed_metrics(record)?;
+            Ok((
+                metrics.model_identified,
+                metrics.pixel_recovery,
+                metrics.residue_lifetime.decayed_recovery_rate(),
+            ))
+        })
     };
-    let baseline = sweep(ScrapeMode::ContiguousRange, false)?;
-    let reconstructed = sweep(ScrapeMode::MultiSnapshot { snapshots }, true)?;
+    let baseline = attacker(ScrapeMode::ContiguousRange, false)?;
+    let reconstructed = attacker(ScrapeMode::MultiSnapshot { snapshots }, true)?;
     Ok(swept_remanence_models()
         .into_iter()
         .zip(baseline)
@@ -417,34 +417,28 @@ pub struct RevivalRow {
 pub fn evaluate_revival(
     board: BoardConfig,
     model: ModelKind,
+    config: &StreamConfig,
 ) -> Result<Vec<RevivalRow>, AttackError> {
-    let report = CampaignSpec::new("revival-sweep", board)
-        .with_models(vec![model])
-        .with_inputs(vec![InputKind::Corrupted])
+    let spec = victim_spec("revival-sweep", board, model)
         .with_sanitize_policies(swept_policies())
         .with_schedules(vec![VictimSchedule::Revival {
             successors: 1,
             reuse_pid: true,
-        }])
-        .run()?;
-    report
-        .cells()
-        .iter()
-        .map(|record| {
-            let metrics = completed_metrics(record)?;
-            let lifetime = metrics.residue_lifetime;
-            Ok(RevivalRow {
-                policy: record.cell.sanitize,
-                victim_frames: lifetime.victim_frames,
-                revived_heap_frames: lifetime.revived_heap_frames,
-                inherited_frames: lifetime.revival_inherited_frames,
-                inheritance_rate: lifetime.inheritance_rate(),
-                frames_lost_before_scrape: lifetime.frames_lost_before_scrape,
-                model_identified: metrics.model_identified,
-                pixel_recovery: metrics.pixel_recovery,
-            })
+        }]);
+    sweep(spec, config, |record| {
+        let metrics = completed_metrics(record)?;
+        let lifetime = metrics.residue_lifetime;
+        Ok(RevivalRow {
+            policy: record.cell.sanitize,
+            victim_frames: lifetime.victim_frames,
+            revived_heap_frames: lifetime.revived_heap_frames,
+            inherited_frames: lifetime.revival_inherited_frames,
+            inheritance_rate: lifetime.inheritance_rate(),
+            frames_lost_before_scrape: lifetime.frames_lost_before_scrape,
+            model_identified: metrics.model_identified,
+            pixel_recovery: metrics.pixel_recovery,
         })
-        .collect()
+    })
 }
 
 /// One row of the multi-tenant sweep (TAB-F): what a sanitization policy does
@@ -484,32 +478,26 @@ pub fn evaluate_multi_tenant(
     board: BoardConfig,
     victim_model: ModelKind,
     active_model: ModelKind,
+    config: &StreamConfig,
 ) -> Result<Vec<MultiTenantRow>, AttackError> {
-    let report = CampaignSpec::new("multi-tenant-sweep", board)
-        .with_models(vec![victim_model])
-        .with_inputs(vec![InputKind::Corrupted])
+    let spec = victim_spec("multi-tenant-sweep", board, victim_model)
         .with_sanitize_policies(swept_policies())
         .with_scrape_modes(vec![ScrapeMode::PerPage])
         .with_schedules(vec![VictimSchedule::MultiTenant {
             active_model,
             warmup_pages: 16,
-        }])
-        .run()?;
-    report
-        .cells()
-        .iter()
-        .map(|record| {
-            let metrics = completed_metrics(record)?;
-            Ok(MultiTenantRow {
-                policy: record.cell.sanitize,
-                victim_model_identified: metrics.model_identified,
-                active_tenant_bytes_clobbered: metrics.collateral_bytes,
-                active_tenant_data_intact: metrics
-                    .active_tenant_intact
-                    .expect("multi-tenant schedule reports co-tenant state"),
-            })
+        }]);
+    sweep(spec, config, |record| {
+        let metrics = completed_metrics(record)?;
+        Ok(MultiTenantRow {
+            policy: record.cell.sanitize,
+            victim_model_identified: metrics.model_identified,
+            active_tenant_bytes_clobbered: metrics.collateral_bytes,
+            active_tenant_data_intact: metrics
+                .active_tenant_intact
+                .expect("multi-tenant schedule reports co-tenant state"),
         })
-        .collect()
+    })
 }
 
 /// One row of the compressed-swap sweep: what each sanitization policy
@@ -549,28 +537,24 @@ pub fn evaluate_swap(
     board: BoardConfig,
     model: ModelKind,
     swap_pressure: u8,
+    config: &StreamConfig,
 ) -> Result<Vec<SwapRow>, AttackError> {
     let mut policies = swept_policies();
     policies.push(SanitizePolicy::SwapScrub);
     policies.push(SanitizePolicy::ZeroOnFreeSwap);
-    let mut rows = Vec::new();
-    CampaignSpec::new("swap-sweep", board.with_swap(swap_pressure))
-        .with_models(vec![model])
-        .with_inputs(vec![InputKind::Corrupted])
-        .with_sanitize_policies(policies)
-        .stream_cells(StreamConfig::default(), |record| {
-            let metrics = completed_metrics(&record)?;
-            rows.push(SwapRow {
-                policy: record.cell.sanitize,
-                scrubs_swap: record.cell.sanitize.scrubs_swap(),
-                swap_resident_bytes: metrics.residue_lifetime.swap_resident_bytes,
-                residue_frames: metrics.residue_frames,
-                model_identified: metrics.model_identified,
-                pixel_recovery: metrics.pixel_recovery,
-            });
-            Ok(())
-        })?;
-    Ok(rows)
+    let spec = victim_spec("swap-sweep", board.with_swap(swap_pressure), model)
+        .with_sanitize_policies(policies);
+    sweep(spec, config, |record| {
+        let metrics = completed_metrics(record)?;
+        Ok(SwapRow {
+            policy: record.cell.sanitize,
+            scrubs_swap: record.cell.sanitize.scrubs_swap(),
+            swap_resident_bytes: metrics.residue_lifetime.swap_resident_bytes,
+            residue_frames: metrics.residue_frames,
+            model_identified: metrics.model_identified,
+            pixel_recovery: metrics.pixel_recovery,
+        })
+    })
 }
 
 /// One row of the copy-on-write retention sweep: residue a fork-heavy victim
@@ -605,28 +589,22 @@ pub fn evaluate_cow_retention(
     board: BoardConfig,
     model: ModelKind,
     children: usize,
+    config: &StreamConfig,
 ) -> Result<Vec<CowRow>, AttackError> {
-    let report = CampaignSpec::new("cow-sweep", board)
-        .with_models(vec![model])
-        .with_inputs(vec![InputKind::Corrupted])
+    let spec = victim_spec("cow-sweep", board, model)
         .with_sanitize_policies(swept_policies())
-        .with_schedules(vec![VictimSchedule::ForkHeavy { children }])
-        .run()?;
-    report
-        .cells()
-        .iter()
-        .map(|record| {
-            let metrics = completed_metrics(record)?;
-            let lifetime = metrics.residue_lifetime;
-            Ok(CowRow {
-                policy: record.cell.sanitize,
-                victim_frames: lifetime.victim_frames,
-                cow_inherited_frames: lifetime.cow_inherited_frames,
-                model_identified: metrics.model_identified,
-                pixel_recovery: metrics.pixel_recovery,
-            })
+        .with_schedules(vec![VictimSchedule::ForkHeavy { children }]);
+    sweep(spec, config, |record| {
+        let metrics = completed_metrics(record)?;
+        let lifetime = metrics.residue_lifetime;
+        Ok(CowRow {
+            policy: record.cell.sanitize,
+            victim_frames: lifetime.victim_frames,
+            cow_inherited_frames: lifetime.cow_inherited_frames,
+            model_identified: metrics.model_identified,
+            pixel_recovery: metrics.pixel_recovery,
         })
-        .collect()
+    })
 }
 
 #[cfg(test)]
@@ -637,9 +615,13 @@ mod tests {
         BoardConfig::tiny_for_tests()
     }
 
+    fn config() -> StreamConfig {
+        StreamConfig::new().with_workers(2)
+    }
+
     #[test]
     fn sanitize_sweep_has_expected_shape() {
-        let rows = evaluate_sanitize_policies(board(), ModelKind::SqueezeNet).unwrap();
+        let rows = evaluate_sanitize_policies(board(), ModelKind::SqueezeNet, &config()).unwrap();
         assert_eq!(rows.len(), 6);
 
         let by_policy = |p: SanitizePolicy| rows.iter().find(|r| r.policy == p).unwrap();
@@ -685,7 +667,7 @@ mod tests {
 
     #[test]
     fn swap_sweep_shows_frame_only_scrubbers_leaking_through_swap() {
-        let rows = evaluate_swap(board(), ModelKind::SqueezeNet, 100).unwrap();
+        let rows = evaluate_swap(board(), ModelKind::SqueezeNet, 100, &config()).unwrap();
         assert_eq!(rows.len(), 8);
         let by_policy = |p: SanitizePolicy| rows.iter().find(|r| r.policy == p).unwrap();
 
@@ -722,7 +704,7 @@ mod tests {
 
     #[test]
     fn cow_sweep_shows_shared_frames_sailing_past_zero_on_free() {
-        let rows = evaluate_cow_retention(board(), ModelKind::SqueezeNet, 2).unwrap();
+        let rows = evaluate_cow_retention(board(), ModelKind::SqueezeNet, 2, &config()).unwrap();
         assert_eq!(rows.len(), 6);
         let by_policy = |p: SanitizePolicy| rows.iter().find(|r| r.policy == p).unwrap();
 
@@ -746,18 +728,18 @@ mod tests {
     fn sweeps_on_a_confined_board_error_instead_of_fabricating_rows() {
         let confined = board().with_isolation(IsolationPolicy::Confined);
         assert!(matches!(
-            evaluate_sanitize_policies(confined, ModelKind::SqueezeNet),
+            evaluate_sanitize_policies(confined, ModelKind::SqueezeNet, &config()),
             Err(AttackError::Blocked { .. })
         ));
         assert!(matches!(
-            evaluate_layout_randomization(confined, ModelKind::SqueezeNet),
+            evaluate_layout_randomization(confined, ModelKind::SqueezeNet, &config()),
             Err(AttackError::Blocked { .. })
         ));
     }
 
     #[test]
     fn isolation_sweep_blocks_only_the_confined_board() {
-        let rows = evaluate_isolation(board(), ModelKind::SqueezeNet).unwrap();
+        let rows = evaluate_isolation(board(), ModelKind::SqueezeNet, &config()).unwrap();
         assert_eq!(rows.len(), 2);
         let permissive = &rows[0];
         assert_eq!(permissive.isolation, IsolationPolicy::Permissive);
@@ -776,7 +758,8 @@ mod tests {
 
     #[test]
     fn layout_sweep_shows_per_page_attacker_beating_randomization() {
-        let rows = evaluate_layout_randomization(board(), ModelKind::SqueezeNet).unwrap();
+        let rows =
+            evaluate_layout_randomization(board(), ModelKind::SqueezeNet, &config()).unwrap();
         assert_eq!(rows.len(), 8);
 
         let find = |order_random: bool, mode: ScrapeMode| {
@@ -829,7 +812,7 @@ mod tests {
 
     #[test]
     fn remanence_sweep_decays_recovery() {
-        let rows = evaluate_remanence(board(), ModelKind::SqueezeNet).unwrap();
+        let rows = evaluate_remanence(board(), ModelKind::SqueezeNet, &config()).unwrap();
         let models = swept_remanence_models();
         assert_eq!(rows.len(), models.len());
         for (row, model) in rows.iter().zip(&models) {
@@ -874,12 +857,12 @@ mod tests {
 
     #[test]
     fn reconstruction_sweep_beats_the_exact_baseline_at_matched_seeds() {
-        let rows = evaluate_reconstruction(board(), ModelKind::SqueezeNet, 3).unwrap();
+        let rows = evaluate_reconstruction(board(), ModelKind::SqueezeNet, 3, &config()).unwrap();
         assert_eq!(rows.len(), swept_remanence_models().len());
 
         // The baseline column reproduces the remanence sweep byte for byte —
         // same spec shape, same seeds.
-        let remanence = evaluate_remanence(board(), ModelKind::SqueezeNet).unwrap();
+        let remanence = evaluate_remanence(board(), ModelKind::SqueezeNet, &config()).unwrap();
         for (row, base) in rows.iter().zip(&remanence) {
             assert_eq!(row.remanence, base.remanence);
             assert_eq!(row.snapshots, 3);
@@ -916,7 +899,7 @@ mod tests {
 
     #[test]
     fn revival_sweep_quantifies_the_resurrection_window() {
-        let rows = evaluate_revival(board(), ModelKind::SqueezeNet).unwrap();
+        let rows = evaluate_revival(board(), ModelKind::SqueezeNet, &config()).unwrap();
         assert_eq!(rows.len(), 6);
         let by_policy = |p: SanitizePolicy| rows.iter().find(|r| r.policy == p).unwrap();
 
@@ -968,15 +951,20 @@ mod tests {
     fn revival_sweep_on_a_confined_board_errors() {
         let confined = board().with_isolation(IsolationPolicy::Confined);
         assert!(matches!(
-            evaluate_revival(confined, ModelKind::SqueezeNet),
+            evaluate_revival(confined, ModelKind::SqueezeNet, &config()),
             Err(AttackError::Blocked { .. })
         ));
     }
 
     #[test]
     fn multi_tenant_sweep_shows_collateral_damage_of_bulk_schemes() {
-        let rows =
-            evaluate_multi_tenant(board(), ModelKind::SqueezeNet, ModelKind::MobileNetV2).unwrap();
+        let rows = evaluate_multi_tenant(
+            board(),
+            ModelKind::SqueezeNet,
+            ModelKind::MobileNetV2,
+            &config(),
+        )
+        .unwrap();
         assert_eq!(rows.len(), 6);
         let by_policy = |p: SanitizePolicy| rows.iter().find(|r| r.policy == p).unwrap();
 

@@ -68,8 +68,7 @@ pub mod translate;
 
 pub use attack::{AttackConfig, AttackPipeline, ScrapeMode};
 pub use campaign::{
-    Adversary, CampaignCell, CampaignReport, CampaignSpec, CampaignSummary, CellRecord, InputKind,
-    StreamConfig,
+    Adversary, CampaignCell, CampaignSpec, CampaignSummary, CellRecord, InputKind, StreamConfig,
 };
 pub use dump::{HeapView, MemoryDump};
 pub use error::AttackError;

@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --example defense_evaluation`
 
+use fpga_msa::msa::campaign::StreamConfig;
 use fpga_msa::msa::defense::{
     evaluate_isolation, evaluate_layout_randomization, evaluate_sanitize_policies,
 };
@@ -14,6 +15,9 @@ use fpga_msa::vitis::ModelKind;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let board = BoardConfig::zcu104();
     let model = ModelKind::Resnet50Pt;
+    // Every sweep runs on the campaign worker pool; the default config uses
+    // the machine's available parallelism.
+    let config = StreamConfig::default();
 
     println!("== sanitization policies vs the attack (victim: {model}) ==\n");
     let mut table = TextTable::new(vec![
@@ -24,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "scrub cost (cycles)",
         "collateral",
     ]);
-    for row in evaluate_sanitize_policies(board, model)? {
+    for row in evaluate_sanitize_policies(board, model, &config)? {
         table.add_row(vec![
             row.policy.to_string(),
             row.model_identified.to_string(),
@@ -44,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "pixel recovery",
         "blocked at",
     ]);
-    for row in evaluate_isolation(board, model)? {
+    for row in evaluate_isolation(board, model, &config)? {
         table.add_row(vec![
             row.isolation.to_string(),
             row.attack_completed.to_string(),
@@ -63,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "model identified",
         "pixel recovery",
     ]);
-    for row in evaluate_layout_randomization(board, model)? {
+    for row in evaluate_layout_randomization(board, model, &config)? {
         table.add_row(vec![
             row.allocation_order.to_string(),
             row.aslr.to_string(),

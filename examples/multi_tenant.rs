@@ -5,6 +5,7 @@
 //!
 //! Run with: `cargo run --example multi_tenant`
 
+use fpga_msa::msa::campaign::StreamConfig;
 use fpga_msa::msa::defense::evaluate_multi_tenant;
 use fpga_msa::msa::report::{bytes, TextTable};
 use fpga_msa::petalinux::BoardConfig;
@@ -16,7 +17,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "== multi-tenant residue and collateral (victim: squeezenet, active: mobilenet_v2) ==\n"
     );
 
-    let rows = evaluate_multi_tenant(board, ModelKind::SqueezeNet, ModelKind::MobileNetV2)?;
+    let rows = evaluate_multi_tenant(
+        board,
+        ModelKind::SqueezeNet,
+        ModelKind::MobileNetV2,
+        &StreamConfig::default(),
+    )?;
 
     let mut table = TextTable::new(vec![
         "sanitize policy",

@@ -42,11 +42,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Stream it: NDJSON progress per folded cell group, aggregates at the
-    // end.  `stream_cells` would additionally hand over every record (in
-    // cell-index order) without retaining it.
+    // end.  The visitor (a no-op here) receives every record in cell-index
+    // order; the engine does not retain it.
     println!("progress (one NDJSON line per folded cell group):");
-    let summary = spec.stream_with_progress(
+    let summary = spec.stream(
         StreamConfig::default().with_workers(2).with_block_size(8),
+        |_| Ok(()),
         |progress| println!("{}", progress.to_ndjson()),
     )?;
 

@@ -1,8 +1,8 @@
 //! Campaign determinism: the worker pool must not change the science.
 //!
-//! A `CampaignReport` is a measurement artifact — if its content depended on
-//! how many threads happened to run it, no table built on top of it could be
-//! trusted.  This suite pins the contract: for a fixed spec and seed, the
+//! A campaign's records and summary are measurement artifacts — if their
+//! content depended on how many threads happened to run them, no table built
+//! on top of them could be trusted.  This suite pins the contract: for a fixed spec and seed, the
 //! per-cell results (cell axes, completed/blocked status and all scenario
 //! metrics) are identical for 1 worker vs. N workers and across repeated
 //! runs.  Only wall-clock fields may differ.
@@ -12,8 +12,11 @@
 #![allow(clippy::indexing_slicing)]
 
 use fpga_msa::dram::SanitizePolicy;
+use std::collections::BTreeMap;
+
 use fpga_msa::msa::campaign::{
-    Adversary, CampaignReport, CampaignSpec, CellRecord, InputKind, StreamConfig,
+    Adversary, CampaignAccumulator, CampaignSpec, CampaignSummary, CellRecord, GroupStats,
+    InputKind, StreamConfig,
 };
 use fpga_msa::msa::scenario::VictimSchedule;
 use fpga_msa::msa::ScrapeMode;
@@ -53,19 +56,33 @@ fn matrix_spec() -> CampaignSpec {
         .with_seed(0xFEED)
 }
 
-/// The reproducible projection of a report: everything except wall-clock.
+/// Streams `spec` on `workers` pool threads, collecting every record in
+/// cell-index order next to the summary the engine folded.
+fn run_records(spec: &CampaignSpec, workers: usize) -> (CampaignSummary, Vec<CellRecord>) {
+    let mut records = Vec::new();
+    let summary = spec
+        .stream(
+            StreamConfig::default().with_workers(workers),
+            |record| {
+                records.push(record);
+                Ok(())
+            },
+            |_| {},
+        )
+        .unwrap();
+    (summary, records)
+}
+
+/// The reproducible projection of a run's records: everything except
+/// wall-clock.
 fn deterministic_view(
-    report: &CampaignReport,
+    records: &[CellRecord],
 ) -> Vec<(
     &fpga_msa::msa::CampaignCell,
     &fpga_msa::msa::scenario::ScenarioResult,
     Option<&fpga_msa::msa::ScenarioMetrics>,
 )> {
-    report
-        .cells()
-        .iter()
-        .map(CellRecord::deterministic_view)
-        .collect()
+    records.iter().map(CellRecord::deterministic_view).collect()
 }
 
 #[test]
@@ -73,13 +90,13 @@ fn report_is_worker_count_independent_and_replayable() {
     let spec = matrix_spec();
     assert!(spec.cell_count() >= 200, "matrix must cover ≥ 200 cells");
 
-    let serial = spec.run_with_workers(1).unwrap();
-    let parallel = spec.run_with_workers(4).unwrap();
-    let replay = spec.run_with_workers(4).unwrap();
+    let (serial_summary, serial) = run_records(&spec, 1);
+    let (parallel_summary, parallel) = run_records(&spec, 4);
+    let (_, replay) = run_records(&spec, 4);
 
     assert_eq!(serial.len(), spec.cell_count());
-    assert_eq!(serial.workers(), 1);
-    assert_eq!(parallel.workers(), 4);
+    assert_eq!(serial_summary.workers, 1);
+    assert_eq!(parallel_summary.workers, 4);
 
     // 1 worker vs. N workers: identical content.
     assert_eq!(deterministic_view(&serial), deterministic_view(&parallel));
@@ -88,27 +105,30 @@ fn report_is_worker_count_independent_and_replayable() {
 
     // The matrix is not degenerate: it contains completed, blocked,
     // identified and defeated cells, so the equality above is meaningful.
-    assert!(serial.completed_count() > 0);
-    assert!(serial.blocked_count() > 0);
-    assert!(serial.identified_count() > 0);
-    assert!(serial.identified_count() < serial.completed_count());
+    let totals = &serial_summary.totals;
+    assert!(totals.completed > 0);
+    assert!(totals.blocked > 0);
+    assert!(totals.identified > 0);
+    assert!(totals.identified < totals.completed);
 
     // Records come back in expansion order regardless of scheduling.
     let expanded = spec.expand();
-    for (ran, declared) in parallel.cells().iter().zip(&expanded) {
+    for (ran, declared) in parallel.iter().zip(&expanded) {
         assert_eq!(&ran.cell, declared);
     }
 
     // Aggregations are pure projections of the deterministic records.
-    let groups = parallel.group_by(|r| r.cell.isolation.to_string());
-    let confined = &groups["confined"];
+    let confined = &parallel_summary.axes.by_isolation["confined"];
     assert_eq!(confined.blocked, confined.cells);
-    assert_eq!(parallel.blocked_count(), confined.blocked);
-    assert_eq!(serial.mean_pixel_recovery(), parallel.mean_pixel_recovery());
+    assert_eq!(parallel_summary.totals.blocked, confined.blocked);
+    assert_eq!(
+        serial_summary.totals.mean_pixel_recovery,
+        parallel_summary.totals.mean_pixel_recovery
+    );
 
     // The residue-lifetime schedules produced live (non-degenerate) data
     // inside the matrix, so the equalities above pin them too.
-    let by_schedule = parallel.group_by(|r| r.cell.schedule.to_string());
+    let by_schedule = &parallel_summary.axes.by_schedule;
     assert_eq!(by_schedule.len(), 4);
     let revival = &by_schedule["revival(1,reuse-pid)"];
     assert!(revival.revival_inherited_frames > 0);
@@ -149,15 +169,22 @@ fn remanence_axis_is_worker_count_independent() {
         .with_seed(0xDECA);
     assert_eq!(spec.cell_count(), 18);
 
-    let serial = spec.run_with_workers(1).unwrap();
-    let parallel = spec.run_with_workers(4).unwrap();
-    let replay = spec.run_with_workers(4).unwrap();
+    let (_, serial) = run_records(&spec, 1);
+    let (_, parallel) = run_records(&spec, 4);
+    let (_, replay) = run_records(&spec, 4);
     assert_eq!(deterministic_view(&serial), deterministic_view(&parallel));
     assert_eq!(deterministic_view(&parallel), deterministic_view(&replay));
 
     // The matrix is not degenerate: perfect cells flip nothing, decaying
-    // unsanitized cells flip real residue bits.
-    let by_remanence = parallel.group_by(|r| r.cell.remanence.to_string());
+    // unsanitized cells flip real residue bits.  Remanence is not one of
+    // the summary's axes, so fold its groups here.
+    let mut by_remanence: BTreeMap<String, GroupStats> = BTreeMap::new();
+    for record in &parallel {
+        by_remanence
+            .entry(record.cell.remanence.to_string())
+            .or_default()
+            .absorb(record);
+    }
     assert_eq!(by_remanence.len(), 3);
     assert_eq!(by_remanence["perfect"].residue_bits_flipped, 0);
     assert_eq!(by_remanence["perfect"].mean_decayed_recovery, 1.0);
@@ -167,7 +194,7 @@ fn remanence_axis_is_worker_count_independent() {
 
     // Zero-on-free leaves no residue, so there is nothing to decay: the
     // fidelity metrics collapse to "nothing lost" under every model.
-    for record in parallel.cells() {
+    for record in &parallel {
         if record.cell.sanitize == SanitizePolicy::ZeroOnFree {
             let lifetime = record.metrics.as_ref().unwrap().residue_lifetime;
             assert_eq!(lifetime.residue_bytes_raw, 0);
@@ -194,27 +221,23 @@ fn live_traffic_churn_is_pinned_to_the_cell_seed() {
     };
 
     let spec = spec_at(41);
-    let serial = spec.run_with_workers(1).unwrap();
-    let parallel = spec.run_with_workers(4).unwrap();
-    let replay = spec.run_with_workers(4).unwrap();
+    let (_, serial) = run_records(&spec, 1);
+    let (_, parallel) = run_records(&spec, 4);
+    let (_, replay) = run_records(&spec, 4);
     assert_eq!(deterministic_view(&serial), deterministic_view(&parallel));
     assert_eq!(deterministic_view(&parallel), deterministic_view(&replay));
 
     // The pinned run is not degenerate: churn actually happened and cost the
     // attacker residue.
-    let lifetime = serial.cells()[0].metrics.as_ref().unwrap().residue_lifetime;
+    let lifetime = serial[0].metrics.as_ref().unwrap().residue_lifetime;
     assert!(lifetime.churn_events > 0);
     assert!(lifetime.frames_lost_before_scrape > 0);
     assert!(lifetime.survival_rate() < 1.0);
 
     // A different campaign seed derives a different churn outcome — the
     // interleaving is seeded data, not an accident of scheduling.
-    let reseeded = spec_at(7).run_with_workers(4).unwrap();
-    let other = reseeded.cells()[0]
-        .metrics
-        .as_ref()
-        .unwrap()
-        .residue_lifetime;
+    let (_, reseeded) = run_records(&spec_at(7), 4);
+    let other = reseeded[0].metrics.as_ref().unwrap().residue_lifetime;
     assert_ne!(
         lifetime.frames_lost_before_scrape,
         other.frames_lost_before_scrape
@@ -231,12 +254,13 @@ fn the_streaming_pool_folds_every_claimed_block_exactly_once() {
     let spec = matrix_spec().with_scrape_modes(vec![ScrapeMode::ContiguousRange]);
     let mut visited = Vec::new();
     let summary = spec
-        .stream_cells(
+        .stream(
             StreamConfig::default().with_workers(4).with_block_size(8),
             |record| {
                 visited.push(record.cell.index);
                 Ok(())
             },
+            |_| {},
         )
         .unwrap();
     assert_eq!(summary.cells_total, spec.cell_count());
@@ -247,31 +271,26 @@ fn the_streaming_pool_folds_every_claimed_block_exactly_once() {
     }
 }
 
-/// The streaming engine is a pure reorganization of the batch pool: for the
-/// same real matrix, the streamed summary is byte-identical (via
-/// `deterministic_json`) to the summary folded from the batch report, and
-/// the streaming visitor sees every record in expansion order with the same
-/// deterministic content the batch report stores.
+/// The real-cell twin of `streaming_fold_matches_batch_accumulation`: on a
+/// real matrix, the summary the engine returns equals a serial fold of the
+/// records its visitor saw, through the same accumulator, field for field
+/// (means and M2 included), and the visitor sees every cell once, in
+/// expansion order.
 #[test]
-fn streaming_summary_matches_batch_report_on_real_cells() {
+fn streaming_summary_matches_a_serial_fold_on_real_cells() {
     let spec = matrix_spec();
-    let batch = spec.run_with_workers(2).unwrap();
+    let (summary, records) = run_records(&spec, 2);
 
-    let mut visited = Vec::new();
-    let summary = spec
-        .stream_cells(StreamConfig::default().with_workers(2), |record| {
-            visited.push(record);
-            Ok(())
-        })
-        .unwrap();
-
-    assert_eq!(
-        summary.deterministic_json(),
-        batch.summary().deterministic_json()
-    );
-    assert_eq!(visited.len(), batch.len());
-    for (streamed, batched) in visited.iter().zip(batch.cells()) {
-        assert_eq!(streamed.deterministic_view(), batched.deterministic_view());
+    let mut reference = CampaignAccumulator::new();
+    for record in &records {
+        reference.absorb(record);
+    }
+    assert_eq!(&summary.totals, reference.totals());
+    assert_eq!(&summary.axes, reference.axes());
+    assert_eq!(summary.cells_total, spec.cell_count());
+    assert_eq!(records.len(), spec.cell_count());
+    for (record, declared) in records.iter().zip(spec.cells()) {
+        assert_eq!(record.cell, declared);
     }
 }
 

@@ -152,10 +152,15 @@ fn empty_board_axis_is_a_typed_error_not_a_hang() {
     let spec = spec_from(0, 2, 1, 1, 0, 0, 1, 1, 7);
     assert_eq!(spec.cell_count(), 0);
 
-    // Both engines refuse the empty matrix with the same typed error.
-    assert!(matches!(
-        spec.stream(StreamConfig::default().with_workers(8)),
-        Err(AttackError::EmptyCampaign)
-    ));
-    assert!(matches!(spec.run(), Err(AttackError::EmptyCampaign)));
+    // The scenario pipeline refuses the empty matrix with the typed error,
+    // on a pinned and on the default worker count.
+    for config in [
+        StreamConfig::default().with_workers(8),
+        StreamConfig::default(),
+    ] {
+        assert!(matches!(
+            spec.stream(config, |_| Ok(()), |_| {}),
+            Err(AttackError::EmptyCampaign)
+        ));
+    }
 }

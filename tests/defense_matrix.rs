@@ -3,6 +3,7 @@
 use fpga_msa::dram::SanitizePolicy;
 use fpga_msa::mmu::{AllocationOrder, AslrMode};
 use fpga_msa::msa::attack::ScrapeMode;
+use fpga_msa::msa::campaign::StreamConfig;
 use fpga_msa::msa::defense::{
     evaluate_isolation, evaluate_layout_randomization, evaluate_multi_tenant,
     evaluate_sanitize_policies,
@@ -15,9 +16,13 @@ fn board() -> BoardConfig {
     BoardConfig::tiny_for_tests()
 }
 
+fn config() -> StreamConfig {
+    StreamConfig::new().with_workers(2)
+}
+
 #[test]
 fn sanitization_sweep_orders_policies_as_expected() {
-    let rows = evaluate_sanitize_policies(board(), ModelKind::Resnet50Pt).unwrap();
+    let rows = evaluate_sanitize_policies(board(), ModelKind::Resnet50Pt, &config()).unwrap();
     let get = |p: SanitizePolicy| rows.iter().find(|r| r.policy == p).unwrap();
 
     // Vulnerable default: full recovery at zero cost.
@@ -51,7 +56,7 @@ fn sanitization_sweep_orders_policies_as_expected() {
 
 #[test]
 fn isolation_sweep_shows_the_confined_policy_closing_the_channel() {
-    let rows = evaluate_isolation(board(), ModelKind::Resnet50Pt).unwrap();
+    let rows = evaluate_isolation(board(), ModelKind::Resnet50Pt, &config()).unwrap();
     let permissive = rows
         .iter()
         .find(|r| r.isolation == IsolationPolicy::Permissive)
@@ -67,7 +72,7 @@ fn isolation_sweep_shows_the_confined_policy_closing_the_channel() {
 
 #[test]
 fn layout_randomization_defeats_contiguous_scraping_only() {
-    let rows = evaluate_layout_randomization(board(), ModelKind::Resnet50Pt).unwrap();
+    let rows = evaluate_layout_randomization(board(), ModelKind::Resnet50Pt, &config()).unwrap();
     assert_eq!(rows.len(), 8);
 
     let randomized_contiguous = rows
@@ -99,8 +104,13 @@ fn layout_randomization_defeats_contiguous_scraping_only() {
 
 #[test]
 fn multi_tenant_sweep_separates_precise_from_bulk_sanitizers() {
-    let rows =
-        evaluate_multi_tenant(board(), ModelKind::SqueezeNet, ModelKind::MobileNetV2).unwrap();
+    let rows = evaluate_multi_tenant(
+        board(),
+        ModelKind::SqueezeNet,
+        ModelKind::MobileNetV2,
+        &config(),
+    )
+    .unwrap();
     let get = |p: SanitizePolicy| rows.iter().find(|r| r.policy == p).unwrap();
 
     assert!(get(SanitizePolicy::None).victim_model_identified);
