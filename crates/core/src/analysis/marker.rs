@@ -4,6 +4,13 @@
 //! `FFFF FFFF` identifier (Figure 12), and learns the image's offset offline
 //! by searching for `5555 5555` in a profiling run.  This module provides the
 //! run-length scanner behind both steps.
+//!
+//! Both markers repeat one byte, and both steps only want runs of at least
+//! `min_len` bytes, so the scan is a stride probe: it reads one byte per
+//! `min_len` until a probe lands on the marker byte, and only then measures
+//! the run around the hit, a word (eight bytes) at a time backward and
+//! forward across segment seams.  Where the marker is absent, the scan reads
+//! one byte in `min_len` instead of every byte.
 
 use std::ops::ControlFlow;
 
@@ -64,8 +71,8 @@ fn for_each_run(
     if pattern.iter().all(|&b| b == first) {
         // Runs of a repeated byte are not word-quantized in the dump, so the
         // word-based scan below would miss a maximal run of 1–3 bytes even at
-        // `min_len < 4`.  Scan byte-wise over the segments instead; maximal
-        // runs of >= 4 bytes come out identical to the word scan.
+        // `min_len < 4`.  Measure byte runs instead; maximal runs of >= 4
+        // bytes come out identical to the word scan.
         return uniform_byte_runs(view, first, min_len, visit);
     }
     let len = view.len();
@@ -90,84 +97,102 @@ fn for_each_run(
     ControlFlow::Continue(())
 }
 
-/// Maximal runs of the repeated byte `value`, at least `min_len` bytes long,
-/// scanned segment-by-segment (runs may straddle segment boundaries).
+/// Maximal runs of the repeated byte `value`, at least `min_len` bytes long
+/// (runs may straddle any number of segment boundaries).
+///
+/// A stride probe: every run starting before `from` is settled and byte
+/// `from - 1` is not `value`, so any maximal run of at least `stride =
+/// max(min_len, 1)` bytes that starts at or after `from` covers byte
+/// `from + stride - 1`.  One byte per stride is read until a probe hits
+/// `value`; only then is the run around the hit measured.
 fn uniform_byte_runs(
     view: &ScrapeView<'_>,
     value: u8,
     min_len: u64,
     visit: &mut impl FnMut(MarkerRun) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
-    let mut run_start: Option<usize> = None;
-    let mut base = 0usize;
-    let mut flush = |start: usize, end: usize| {
+    let Ok(stride) = usize::try_from(min_len.max(1)) else {
+        return ControlFlow::Continue(());
+    };
+    let mut from = 0usize;
+    while let Some(probe) = from.checked_add(stride - 1).filter(|&p| p < view.len()) {
+        if view.byte_at(probe) != value {
+            from = probe + 1;
+            continue;
+        }
+        let (start, end) = (run_start(view, probe, value), run_end(view, probe, value));
         let run_len = (end - start) as u64;
         if run_len >= min_len {
             visit(MarkerRun {
                 offset: start as u64,
                 len: run_len,
-            })
-        } else {
-            ControlFlow::Continue(())
+            })?;
         }
-    };
-    for segment in view.segments() {
-        // Skip to the byte that opens a run, then to the byte that closes
-        // it; a run still open at the segment end carries into the next.
-        let mut rest = segment;
-        while !rest.is_empty() {
-            let Some(skip) = find_byte(rest, value, run_start.is_none()) else {
-                break;
-            };
-            let at = base + (segment.len() - rest.len()) + skip;
-            match run_start.take() {
-                None => run_start = Some(at),
-                Some(start) => flush(start, at)?,
-            }
-            rest = rest.get(skip..).unwrap_or_default();
-        }
-        base += segment.len();
+        // Byte `end` is not `value` (or `end` is the view's length).
+        from = end + 1;
     }
-    match run_start {
-        Some(start) => flush(start, base),
-        None => ControlFlow::Continue(()),
-    }
+    ControlFlow::Continue(())
 }
 
-/// Index of the first byte of `bytes` that equals `value` (`equal`) or
-/// differs from it (`!equal`).
-///
-/// Compares 8-byte little-endian words against `value` splatted to a word
-/// and goes byte by byte only in the tail: a differing byte is the lowest
-/// non-zero byte of `word ^ splat`, an equal byte its lowest zero byte.  The
-/// zero-byte test `(x - 0x01…01) & !x & 0x80…80` can flag a byte above a
-/// true zero (borrow), never below one, so its lowest flag is exact.
-fn find_byte(bytes: &[u8], value: u8, equal: bool) -> Option<usize> {
-    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
-    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+/// The first offset at or after `i` whose byte is not `value`, or the
+/// view's length.
+fn run_end(view: &ScrapeView<'_>, mut i: usize, value: u8) -> usize {
+    while let Some((start, segment)) = view.segment_at(i) {
+        let rest = segment.get(i - start..).unwrap_or_default();
+        match find_other(rest, value) {
+            Some(k) => return i + k,
+            None if rest.is_empty() => break,
+            None => i += rest.len(),
+        }
+    }
+    i
+}
+
+/// One past the last offset before `i` whose byte is not `value`, or zero.
+fn run_start(view: &ScrapeView<'_>, mut i: usize, value: u8) -> usize {
+    while let Some((start, segment)) = i.checked_sub(1).and_then(|last| view.segment_at(last)) {
+        match rfind_other(segment.get(..i - start).unwrap_or_default(), value) {
+            Some(k) => return start + k + 1,
+            None => i = start,
+        }
+    }
+    i
+}
+
+/// Index of the first byte of `bytes` that differs from `value`: the lowest
+/// non-zero byte of each little-endian word XOR `value` splatted to a word.
+fn find_other(bytes: &[u8], value: u8) -> Option<usize> {
     let splat = u64::from_le_bytes([value; 8]);
     let mut words = bytes.chunks_exact(8);
     let mut base = 0usize;
     for word in &mut words {
-        let Ok(word) = <[u8; 8]>::try_from(word) else {
-            break;
-        };
-        let diff = u64::from_le_bytes(word) ^ splat;
-        let flags = if equal {
-            diff.wrapping_sub(ONES) & !diff & HIGHS
-        } else {
-            diff
-        };
-        if flags != 0 {
-            return Some(base + flags.trailing_zeros() as usize / 8);
+        let diff = u64::from_le_bytes(word.try_into().unwrap_or_default()) ^ splat;
+        if diff != 0 {
+            return Some(base + diff.trailing_zeros() as usize / 8);
         }
         base += 8;
     }
     words
         .remainder()
         .iter()
-        .position(|&b| (b == value) == equal)
+        .position(|&b| b != value)
         .map(|i| base + i)
+}
+
+/// Index of the last byte of `bytes` that differs from `value`: the highest
+/// non-zero byte of each word XOR the splat, walking words from the end.
+fn rfind_other(bytes: &[u8], value: u8) -> Option<usize> {
+    let splat = u64::from_le_bytes([value; 8]);
+    let mut words = bytes.rchunks_exact(8);
+    let mut end = bytes.len();
+    for word in &mut words {
+        end -= 8;
+        let diff = u64::from_le_bytes(word.try_into().unwrap_or_default()) ^ splat;
+        if diff != 0 {
+            return Some(end + 7 - diff.leading_zeros() as usize / 8);
+        }
+    }
+    words.remainder().iter().rposition(|&b| b != value)
 }
 
 /// The first marker run of at least `min_len` bytes, if any.
@@ -362,10 +387,11 @@ mod tests {
     }
 
     proptest! {
-        /// The word-wise scan finds exactly the runs a byte-by-byte scan
+        /// The stride-probe scan finds exactly the runs a byte-by-byte scan
         /// finds, and never panics, on arbitrary bytes under arbitrary
-        /// segmentation: any head length, then chunks of any unit down to
-        /// one byte, with runs straddling the seams.
+        /// segmentation (any head length, then chunks of any unit from one
+        /// byte to a page, with runs straddling the seams), at any
+        /// threshold from 0 to `u64::MAX`, and for any marker word.
         #[test]
         fn prop_word_scan_matches_byte_scan_on_any_segmentation(
             bytes in proptest::collection::vec(
@@ -379,9 +405,13 @@ mod tests {
                 0..300,
             ),
             head in any::<usize>(),
-            unit_shift in 0u32..7,
-            min_len in 1u64..12,
+            unit_shift in 0u32..13,
+            small_min_len in 0u64..12,
+            huge_min_len in any::<u64>(),
+            pick_huge in any::<bool>(),
+            any_marker in any::<u32>(),
         ) {
+            let min_len = if pick_huge { huge_min_len } else { small_min_len };
             let (head, tail) = bytes.split_at(head % (bytes.len() + 1));
             let mut view = ScrapeView::with_unit(1 << unit_shift);
             view.set_head(head);
@@ -394,6 +424,7 @@ mod tests {
                     naive_uniform_runs(&bytes, value, min_len)
                 );
             }
+            let _ = marker_runs_view(&view, any_marker, min_len);
         }
     }
 }

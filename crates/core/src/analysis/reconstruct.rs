@@ -21,15 +21,18 @@
 //!    bit-parallel Shift-And automaton (Baeza-Yates–Gonnet, the `agrep`
 //!    automaton): a single pass over the view's segments, carrying its state
 //!    across every seam, finds the windows consistent with some pattern, and
-//!    only those are scored.  The match distance is threaded into
+//!    only those are scored.  A *kill byte*, a bit subset of no pattern byte
+//!    (every byte >= 0x80 for ASCII patterns), zeroes the state, so the pass
+//!    skips the state update for it.  The match distance is threaded into
 //!    [`ModelMatch::fuzzy_distance`].
 //! 3. **Entropy-guided image repair** ([`entropy_image_offset`],
 //!    [`repair_image`]): entropy region classes locate the image run when
 //!    neither profile nor marker offset survives, and flipped pixels are
 //!    interpolated from their neighbors before `recovery_rate` scoring.  The
-//!    repair iterates to a fixpoint over a dirty set: after one full pass,
-//!    only bytes that changed and their same-channel neighbors are
-//!    revisited.
+//!    repair decides eight bytes of a `u64` at once with byte-lane (SWAR)
+//!    arithmetic and iterates to a fixpoint over a dirty set: after one
+//!    full pass, only bytes that changed and their same-channel neighbors
+//!    are revisited.
 
 use vitis_ai_sim::Image;
 use zynq_dram::ScrapeView;
@@ -138,6 +141,10 @@ pub(crate) struct ShiftAnd {
     ends: Vec<u64>,
     /// Per state bit: the pattern whose last byte it is.
     owner: Vec<usize>,
+    /// `kill[w]`: `B[w]` is all zero, i.e. byte `w` is a bit subset of no
+    /// pattern byte (every byte >= 0x80 for ASCII patterns).  Such a byte
+    /// clears the state and fires nothing.
+    kill: [bool; 256],
     /// Length of the longest packed pattern.
     longest: usize,
 }
@@ -185,6 +192,10 @@ impl ShiftAnd {
             }
             first = last + 1;
         }
+        let mut kill = [false; 256];
+        for (killed, row) in kill.iter_mut().zip(table.chunks_exact(words.max(1))) {
+            *killed = row.iter().all(|&b| b == 0);
+        }
         ShiftAnd {
             patterns,
             words,
@@ -192,6 +203,7 @@ impl ShiftAnd {
             starts,
             ends,
             owner,
+            kill,
             longest,
         }
     }
@@ -204,15 +216,21 @@ impl ShiftAnd {
     /// automaton state, and the positions of the last [`MIN_EXACT_BYTES`]
     /// non-zero bytes, across every seam.  Once a zero run is as long as the
     /// longest pattern, the state is saturated and no window ending in the
-    /// run holds a non-zero byte, so the rest of the run is skipped.
+    /// run holds a non-zero byte, so the rest of the run is skipped.  A kill
+    /// byte (see [`ShiftAnd::kill`]) only zeroes the state, once per run of
+    /// kill bytes, and ends the zero run.  It is left out of the recent
+    /// non-zero bytes: no window holding it fires, so the count stays exact
+    /// for every window that does.
     pub(crate) fn best_distances(&self, view: &ScrapeView<'_>) -> Vec<Option<f64>> {
         let mut best: Vec<Option<f64>> = vec![None; self.patterns.len()];
         if self.words == 0 {
             return best;
         }
         let mut state = vec![0u64; self.words];
-        // Global offsets + 1 of the last non-zero bytes (0 = none yet);
-        // `recent[next]` is the oldest of them.
+        // The state is known to be all zero (after a kill byte).
+        let mut dead = true;
+        // Global offsets + 1 of the last non-zero, non-kill bytes (0 = none
+        // yet); `recent[next]` is the oldest of them.
         let mut recent = [0usize; MIN_EXACT_BYTES];
         let mut next = 0usize;
         let mut zeros = 0usize;
@@ -221,6 +239,16 @@ impl ShiftAnd {
         for segment in view.segments() {
             let mut bytes = segment.iter();
             while let Some(&byte) = bytes.next() {
+                if self.kill.get(usize::from(byte)).copied().unwrap_or(false) {
+                    if !dead {
+                        state.fill(0);
+                        dead = true;
+                    }
+                    zeros = 0;
+                    pos += 1;
+                    continue;
+                }
+                dead = false;
                 let row = self
                     .table
                     .chunks_exact(self.words)
@@ -245,8 +273,9 @@ impl ShiftAnd {
                     }
                     next = (next + 1) % MIN_EXACT_BYTES;
                 }
-                // A window of length `m` ending here holds at least
-                // `MIN_EXACT_BYTES` non-zero bytes iff `m >= need`.
+                // A window of length `m` ending here and holding no kill
+                // byte holds at least `MIN_EXACT_BYTES` non-zero bytes iff
+                // `m >= need`.
                 let oldest = recent.get(next).copied().unwrap_or(0);
                 let need = pos + 2 - oldest;
                 if fired != 0 && oldest != 0 && need <= self.longest {
@@ -427,7 +456,7 @@ pub fn repair_image(image: &Image) -> Image {
     }
     let stride = width * 3;
     // `previous` holds pass k's pixels and `pixels` receives pass k + 1's;
-    // after each pass the bytes that changed are copied back.
+    // after each pass it is copied back.
     let mut previous = image.as_bytes().to_vec();
     let mut pixels = previous.clone();
     let words = pixels.len().div_ceil(64);
@@ -437,11 +466,7 @@ pub fn repair_image(image: &Image) -> Image {
         if !repair_pass(&previous, &mut pixels, stride, &visit, &mut changed) {
             break;
         }
-        for_each_bit(&changed, |i| {
-            if let (Some(old), Some(&new)) = (previous.get_mut(i), pixels.get(i)) {
-                *old = new;
-            }
-        });
+        previous.copy_from_slice(&pixels);
         visit.copy_from_slice(&changed);
         for shift in [3, stride] {
             or_shifted_up(&mut visit, &changed, shift);
@@ -453,15 +478,14 @@ pub fn repair_image(image: &Image) -> Image {
 }
 
 /// One Jacobi pass over the `stride`-byte rows of `previous`: repairs the
-/// bytes set in `visit` into `pixels` and marks the ones it changed in
-/// `changed`; `true` when any did.
+/// bytes set in `visit` into `pixels` (equal to `previous` on entry) and
+/// marks the ones it changed in `changed`; `true` when any did.
 ///
-/// Each row is walked one little-endian word (eight bytes) at a time; the
-/// same-channel left and right neighbors are the row's bytes three to
-/// either side, so their words are the row word shifted by three bytes.  A
-/// byte can only be repaired when some neighbor has a bit the byte lacks
-/// (see [`repair_byte`]), so one word-wide test picks the candidates, and
-/// only those are decided byte by byte.
+/// Each row is walked one little-endian word (eight byte lanes) at a time;
+/// the same-channel left and right neighbors are the row's bytes three to
+/// either side, so their words are the row word shifted by three bytes.
+/// [`repair_lanes`] decides all eight lanes at once, and the changed lanes
+/// go back with one masked word store.
 fn repair_pass(
     previous: &[u8],
     pixels: &mut [u8],
@@ -483,29 +507,25 @@ fn repair_pass(
         let mut own = word_at(row, 0);
         for k in (0..stride).step_by(8) {
             let after = word_at(row, k + 8);
-            let i = row_start + k;
-            let visiting = bits_at(visit, i, (stride - k).min(8));
+            let (i, lanes) = (row_start + k, (stride - k).min(8));
+            let visiting = spread(bits_at(visit, i, lanes));
             if visiting != 0 {
                 let left = (own << 24) | (before >> 40);
                 let right = (own >> 24) | (after << 40);
                 let above = up.map_or(0, |up| word_at(up, k));
                 let below = down.map_or(0, |down| word_at(down, k));
-                let mut candidates = nonzero_bytes((left | right | above | below) & !own);
-                while candidates != 0 {
-                    let lane = candidates.trailing_zeros() as usize / 8;
-                    candidates &= candidates - 1;
-                    if visiting >> lane & 1 == 0 {
-                        continue;
+                // A lane none of whose neighbors has a bit it lacks cannot
+                // be repaired.
+                let open = nonzero_bytes((left | right | above | below) & !own) & visiting;
+                let (value, repaired) = repair_lanes(own, [left, right, above, below], open);
+                if repaired != 0 {
+                    let mask = (repaired >> 7) * 0xFF;
+                    let word = ((own & !mask) | (value & mask)).to_le_bytes();
+                    for (out, byte) in pixels.iter_mut().skip(i).zip(word).take(lanes) {
+                        *out = byte;
                     }
-                    let byte = |word: u64| word.to_le_bytes().get(lane).copied().unwrap_or(0);
-                    let neighbors = [byte(left), byte(right), byte(above), byte(below)];
-                    if let Some(repaired) = repair_byte(byte(own), neighbors) {
-                        if let Some(out) = pixels.get_mut(i + lane) {
-                            *out = repaired;
-                            set_bit(changed, i + lane);
-                            any = true;
-                        }
-                    }
+                    or_bits_at(changed, i, lane_bits(repaired));
+                    any = true;
                 }
             }
             before = own;
@@ -546,65 +566,119 @@ fn bits_at(bits: &[u64], i: usize, lanes: usize) -> u64 {
     (low | high) & ((1 << lanes) - 1)
 }
 
+/// ORs the low eight bits of `lanes` into bits `i..i + 8` of a bitmap.
+fn or_bits_at(bits: &mut [u64], i: usize, lanes: u64) {
+    let (word, shift) = (i >> 6, i & 63);
+    if let Some(out) = bits.get_mut(word) {
+        *out |= lanes << shift;
+    }
+    if let (57..=63, Some(out)) = (shift, bits.get_mut(word + 1)) {
+        *out |= lanes >> (64 - shift);
+    }
+}
+
+const LOW7: u64 = u64::from_le_bytes([0x7F; 8]);
+const HIGHS: u64 = !LOW7;
+
 /// `0x80` in every byte of `word` that is non-zero, `0` elsewhere.
 fn nonzero_bytes(word: u64) -> u64 {
-    const LOW7: u64 = u64::from_le_bytes([0x7F; 8]);
-    (((word & LOW7) + LOW7) | word) & !LOW7
+    (((word & LOW7) + LOW7) | word) & HIGHS
 }
 
-/// One channel byte's repair decision (see [`repair_image`]), given the
-/// byte and its four neighbors (zero where the neighbor is absent; a zero
-/// neighbor has no vote).
-///
-/// Neither repair can set a bit that no neighbor has: an erased byte takes
-/// a neighbor's value and a clipped byte gains only consensus bits.  So the
-/// answer is `None` whenever `own` already holds every neighbor bit, which
-/// is the test [`repair_pass`] applies word-wide before calling this.
-fn repair_byte(own: u8, neighbors: [u8; 4]) -> Option<u8> {
-    if own == 0 {
-        // Erased byte: restore only an exact >= 2 neighbor agreement,
-        // ranked by votes, then surviving bits, then value.
-        let rank = |value: u8| {
-            let votes: u32 = neighbors.iter().map(|&n| u32::from(n == value)).sum();
-            if value != 0 && votes >= 2 {
-                votes << 16 | value.count_ones() << 8 | u32::from(value)
-            } else {
-                0
-            }
-        };
-        let best = neighbors.iter().map(|&n| rank(n)).max().unwrap_or(0);
-        let [value, ..] = best.to_le_bytes();
-        return (best != 0).then_some(value);
-    }
-    // Clipped byte: strict-majority bit consensus of the non-zero neighbors
-    // — both of two, two of three (`maj3`), three of four — applied only
-    // when `own` could be a decayed form of it.  Zero neighbors carry no
-    // bits, so "at least two of the four" is the majority of two or three.
-    let [a, b, c, d] = neighbors;
-    let consensus = match neighbors.iter().filter(|&&n| n != 0).count() {
-        0 | 1 => return None,
-        4 => (a & b & (c | d)) | (c & d & (a | b)),
-        _ => (a & b) | (c & d) | ((a | b) & (c | d)),
-    };
-    (own & !consensus == 0 && own != consensus).then_some(consensus)
+/// `0x80` in lane `l` for each set bit `l` of the low eight bits of `bits`.
+fn spread(bits: u64) -> u64 {
+    nonzero_bytes(((bits & 0xFF) * 0x0101_0101_0101_0101) & 0x8040_2010_0804_0201)
 }
 
-/// Sets bit `i` of a bitmap.
-fn set_bit(bits: &mut [u64], i: usize) {
-    if let Some(word) = bits.get_mut(i / 64) {
-        *word |= 1 << (i % 64);
-    }
+/// The inverse of [`spread`]: bit `l` for each lane `l` holding `0x80`.
+fn lane_bits(flags: u64) -> u64 {
+    (flags >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56
 }
 
-/// Calls `f` with the index of every set bit, in increasing order.
-fn for_each_bit(bits: &[u64], mut f: impl FnMut(usize)) {
-    for (w, &word) in bits.iter().enumerate() {
-        let mut word = word;
-        while word != 0 {
-            f(w * 64 + word.trailing_zeros() as usize);
-            word &= word - 1;
-        }
+/// `0x80` in every lane where byte `x >= y` (unsigned): the low seven bits
+/// compare through a lane-local subtraction that cannot borrow across
+/// lanes, and the top bits decide where they differ.
+fn ge_bytes(x: u64, y: u64) -> u64 {
+    let low = (x | HIGHS) - (y & LOW7);
+    ((x & !y) | (!(x ^ y) & low)) & HIGHS
+}
+
+/// The set-bit count of every byte lane.
+fn popcount_bytes(x: u64) -> u64 {
+    const FIVES: u64 = u64::from_le_bytes([0x55; 8]);
+    const THREES: u64 = u64::from_le_bytes([0x33; 8]);
+    const LOW4: u64 = u64::from_le_bytes([0x0F; 8]);
+    let x = x - ((x >> 1) & FIVES);
+    let x = (x & THREES) + ((x >> 2) & THREES);
+    (x + (x >> 4)) & LOW4
+}
+
+/// `x` in the lanes where `flags` holds `0x80`, `y` in the others.
+fn blend(flags: u64, x: u64, y: u64) -> u64 {
+    let mask = (flags >> 7) * 0xFF;
+    (x & mask) | (y & !mask)
+}
+
+/// `0x80` in every lane where bytes `x` and `y` are equal.
+fn eq_bytes(x: u64, y: u64) -> u64 {
+    HIGHS & !nonzero_bytes(x ^ y)
+}
+
+/// The [`repair_image`] rule for the eight byte lanes of `own` at once
+/// (SWAR), given the four neighbor words (zero where a neighbor is absent;
+/// a zero neighbor has no vote): the repaired value of every lane and
+/// `0x80` in each lane of `open` the rule changes.  Each half of the rule
+/// runs only when some open lane needs it.
+fn repair_lanes(own: u64, neighbors: [u64; 4], open: u64) -> (u64, u64) {
+    let mut out = (0, 0);
+    if open & nonzero_bytes(own) != 0 {
+        out = clipped_lanes(own, neighbors);
     }
+    if open & !nonzero_bytes(own) != 0 {
+        let (value, erased) = erased_lanes(own, neighbors);
+        out = (blend(erased, value, out.0), out.1 | erased);
+    }
+    (out.0, out.1 & open)
+}
+
+/// The clipped-byte repair: the strict-majority bit consensus of the
+/// non-zero neighbors — both of two, two of three, three of four — taken
+/// only when the non-zero `own` could be a decayed form of it.  Zero
+/// neighbors carry no bits, so short of four non-zero neighbors it is "at
+/// least two of the four", which is empty (and rejected) under one.
+fn clipped_lanes(own: u64, [a, b, c, d]: [u64; 4]) -> (u64, u64) {
+    let nz = nonzero_bytes;
+    let at_least_two = (a & b) | (c & d) | ((a | b) & (c | d));
+    let at_least_three = (a & b & (c | d)) | (c & d & (a | b));
+    let consensus = blend(nz(a) & nz(b) & nz(c) & nz(d), at_least_three, at_least_two);
+    let repaired = nz(own) & !nz(own & !consensus) & nz(own ^ consensus);
+    (consensus, repaired)
+}
+
+/// The erased-byte repair: the non-zero neighbor value with the most votes,
+/// at least two; between two pairs, more set bits win, then the larger
+/// value.  A value held by three or more neighbors is `a`'s or else `b`'s.
+/// Without one there are at most two pairs: `a`'s, and one among `b`, `c`,
+/// `d`, whose value then differs from `a`.
+fn erased_lanes(own: u64, [a, b, c, d]: [u64; 4]) -> (u64, u64) {
+    let (nz, eq) = (nonzero_bytes, eq_bytes);
+    let (ab, ac, ad, bc, bd, cd) = (eq(a, b), eq(a, c), eq(a, d), eq(b, c), eq(b, d), eq(c, d));
+    let a_three = (ab & ac) | (ab & ad) | (ac & ad);
+    let three = a_three | (bc & bd);
+    let three_value = blend(a_three, a, b);
+    let other = blend(bc | bd, b, c);
+    let a_pair = (ab | ac | ad) & !three & nz(a);
+    let other_pair = (bc | bd | cd) & !three & nz(other);
+    let mut a_wins = a_pair & !other_pair;
+    if a_pair & other_pair != 0 {
+        let (a_bits, other_bits) = (popcount_bytes(a), popcount_bytes(other));
+        let a_outranks = (HIGHS & !ge_bytes(other_bits, a_bits))
+            | (eq(a_bits, other_bits) & HIGHS & !ge_bytes(other, a));
+        a_wins |= a_pair & other_pair & a_outranks;
+    }
+    let value = blend(three, three_value, blend(a_wins, a, other));
+    let repaired = HIGHS & !nz(own) & ((three & nz(three_value)) | a_pair | other_pair);
+    (value, repaired)
 }
 
 /// ORs `src` moved `shift` bits toward higher indices into `dst`.
@@ -785,6 +859,72 @@ mod tests {
         assert!(damaged.pixel_recovery_rate(&truth) < 0.5);
         let repaired = repair_image(&damaged);
         assert!(repaired.pixel_recovery_rate(&truth) > 0.95);
+    }
+
+    /// The scalar repair rule, one byte and its four neighbors at a time
+    /// (zero where a neighbor is absent).
+    fn repair_byte(own: u8, neighbors: [u8; 4]) -> Option<u8> {
+        if own == 0 {
+            // Erased byte: restore only an exact >= 2 neighbor agreement,
+            // ranked by votes, then surviving bits, then value.
+            let rank = |value: u8| {
+                let votes: u32 = neighbors.iter().map(|&n| u32::from(n == value)).sum();
+                if value != 0 && votes >= 2 {
+                    votes << 16 | value.count_ones() << 8 | u32::from(value)
+                } else {
+                    0
+                }
+            };
+            let best = neighbors.iter().map(|&n| rank(n)).max().unwrap_or(0);
+            return (best != 0).then_some(best as u8);
+        }
+        let [a, b, c, d] = neighbors;
+        let consensus = match neighbors.iter().filter(|&&n| n != 0).count() {
+            0 | 1 => return None,
+            4 => (a & b & (c | d)) | (c & d & (a | b)),
+            _ => (a & b) | (c & d) | ((a | b) & (c | d)),
+        };
+        (own & !consensus == 0 && own != consensus).then_some(consensus)
+    }
+
+    #[test]
+    fn every_lane_of_the_word_rule_matches_the_scalar_rule() {
+        // Every (own, left, right, above, below) over zero, all ones, single
+        // bits, and pairs that tie on set bits, so that erased bytes meet
+        // every agreement shape (pairs, two pairs, triples) and clipped
+        // bytes every majority; eight combinations per word, in every lane.
+        const ALPHABET: [u8; 14] = [
+            0, 0xFF, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x0F, 0xF0, 0x7F, 0xFE,
+        ];
+        let n = ALPHABET.len();
+        let combos = n.pow(5);
+        let combo = |k: usize| -> [u8; 5] {
+            std::array::from_fn(|slot| ALPHABET[k / n.pow(slot as u32) % n])
+        };
+        for first in (0..combos).step_by(8) {
+            let mut words = [0u64; 5];
+            for lane in 0..8 {
+                // Rotate the combination order so each lands in every lane.
+                let k = (first + (lane * 5 + first / 8) % 8) % combos;
+                for (word, byte) in words.iter_mut().zip(combo(k)) {
+                    *word |= u64::from(byte) << (8 * lane);
+                }
+            }
+            let [own, a, b, c, d] = words;
+            let (value, repaired) = repair_lanes(own, [a, b, c, d], HIGHS);
+            for lane in 0..8 {
+                let byte = |word: u64| (word >> (8 * lane)) as u8;
+                let expected = repair_byte(byte(own), [byte(a), byte(b), byte(c), byte(d)]);
+                let got = (repaired >> (8 * lane + 7) & 1 == 1).then(|| byte(value));
+                assert_eq!(
+                    got,
+                    expected,
+                    "own {:02x} neighbors {:02x?}",
+                    byte(own),
+                    [byte(a), byte(b), byte(c), byte(d)]
+                );
+            }
+        }
     }
 
     #[test]

@@ -831,11 +831,13 @@ mod tests {
 
     /// Streams `spec` on `workers` pool threads, collecting every record in
     /// cell-index order.
+    /// Streams `spec` on `workers` workers in one-cell blocks, so that
+    /// every worker gets a block to run even on these small matrices.
     fn run_records(spec: &CampaignSpec, workers: usize) -> (CampaignSummary, Vec<CellRecord>) {
         let mut records = Vec::new();
         let summary = spec
             .stream(
-                StreamConfig::new().with_workers(workers),
+                StreamConfig::new().with_workers(workers).with_block_size(1),
                 |record| {
                     records.push(record);
                     Ok(())

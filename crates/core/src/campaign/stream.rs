@@ -327,7 +327,7 @@ pub struct CampaignSummary {
     pub totals: GroupStats,
     /// Per-axis aggregates.
     pub axes: AxisGroups,
-    /// Worker threads the run used (after clamping to the matrix size).
+    /// Worker threads the run used (after clamping to the block count).
     pub workers: usize,
     /// Cells per claim block.
     pub block_size: usize,
@@ -443,7 +443,8 @@ where
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
         })
-        .clamp(1, cells_total);
+        // A worker claims whole blocks: more workers than blocks would idle.
+        .clamp(1, blocks);
     // Backpressure window: completed blocks allowed to await folding.
     let max_ready = workers + 2;
     let adversary = config.adversary;
@@ -735,6 +736,7 @@ mod tests {
     use super::*;
     use petalinux_sim::BoardConfig;
     use vitis_ai_sim::ModelKind;
+    use zynq_dram::SanitizePolicy;
 
     fn synthetic_spec() -> CampaignSpec {
         CampaignSpec::new("tiny", BoardConfig::tiny_for_tests())
@@ -780,6 +782,22 @@ mod tests {
             let summary = stream_synthetic(&spec, config);
             assert_eq!(summary.deterministic_json(), baseline.deterministic_json());
         }
+    }
+
+    #[test]
+    fn the_worker_count_is_clamped_to_the_block_count() {
+        // 24 cells in blocks of 2: more cells than blocks, so a clamp to the
+        // cell count would spawn (and report) idle workers.
+        let spec = synthetic_spec()
+            .with_models(ModelKind::all()[..6].to_vec())
+            .with_sanitize_policies(vec![SanitizePolicy::None, SanitizePolicy::ZeroOnFree]);
+        let summary = stream_synthetic(
+            &spec,
+            StreamConfig::new().with_workers(64).with_block_size(2),
+        );
+        assert_eq!(summary.cells_total, 24);
+        assert_eq!(summary.groups.len(), 12);
+        assert_eq!(summary.workers, 12);
     }
 
     #[test]

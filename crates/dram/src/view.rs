@@ -166,6 +166,20 @@ impl<'a> ScrapeView<'a> {
         self.chunks[j >> self.unit_shift][j & (self.unit() - 1)]
     }
 
+    /// The segment holding byte `i`, with the offset of its first byte
+    /// (`None` when `i >= self.len()`).
+    pub fn segment_at(&self, i: usize) -> Option<(usize, &'a [u8])> {
+        if i >= self.len {
+            return None;
+        }
+        if i < self.head.len() {
+            return Some((0, self.head));
+        }
+        let chunk = (i - self.head.len()) >> self.unit_shift;
+        let start = self.head.len() + (chunk << self.unit_shift);
+        Some((start, self.chunks[chunk]))
+    }
+
     /// `true` when the bytes at `[i, i + bytes.len())` equal `bytes`
     /// (`false` whenever the range runs past the end of the view).
     #[inline]
@@ -351,6 +365,12 @@ mod tests {
                 assert_eq!(view.byte_at(i), expected, "head={head} unit={unit} i={i}");
             }
             assert_eq!(view.to_vec(), data);
+            for i in 0..data.len() {
+                let (start, segment) = view.segment_at(i).expect("in range");
+                assert!(start <= i && i < start + segment.len());
+                assert_eq!(segment, &data[start..start + segment.len()]);
+            }
+            assert!(view.segment_at(data.len()).is_none());
         }
     }
 

@@ -1,30 +1,53 @@
 //! Identity tests for the decay-path analysis kernels.
 //!
-//! `repair_image` iterates to its fixpoint over a dirty set (after one full
-//! pass only changed bytes and their neighbors are revisited), and
-//! `fuzzy_identify_view` scores every signature pattern in one Shift-And
-//! pass over the view's segments.  The `reference` module below keeps the
-//! straightforward implementations they replaced — every pass revisits
-//! every byte of a cloned image, and every pattern runs its own sliding
-//! `fuzzy_scan` over a copy of the view — so both can be compared output
-//! for output, down to the bits of `fuzzy_distance`, on seeded images,
-//! damage patterns, views and segmentations.
+//! `repair_image` decides eight bytes per word and iterates to its fixpoint
+//! over a dirty set (after one full pass only changed bytes and their
+//! neighbors are revisited), `fuzzy_identify_view` scores every signature
+//! pattern in one Shift-And pass over the view's segments that skips kill
+//! bytes, and `marker_runs_view` probes one byte per `min_len`.  The
+//! `reference` module below keeps the straightforward implementations they
+//! replaced — every pass revisits every byte of a cloned image one byte at
+//! a time, every pattern runs its own sliding `fuzzy_scan` over a copy of
+//! the view, and the marker scan groups a copy of the view into runs — so
+//! all three can be compared output for output, down to the bits of
+//! `fuzzy_distance`, on seeded images, damage patterns, views and
+//! segmentations.  The properties at the end check that repair and fuzzy
+//! identification never panic on arbitrary input (the marker scan's
+//! property sits beside it in `analysis/marker.rs`).
 
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
 use fpga_msa::dram::ScrapeView;
+use fpga_msa::msa::analysis::marker::{marker_runs_view, CORRUPTED_MARKER, SENTINEL_MARKER};
 use fpga_msa::msa::analysis::reconstruct::{fuzzy_identify_view, fuzzy_scan, repair_image};
 use fpga_msa::msa::signature::ModelSignature;
 use fpga_msa::msa::{ModelMatch, SignatureDb};
 use fpga_msa::vitis::{Image, ModelKind};
+use proptest::prelude::*;
 
 mod reference {
     use fpga_msa::dram::ScrapeView;
+    use fpga_msa::msa::analysis::marker::MarkerRun;
     use fpga_msa::msa::analysis::reconstruct::{MIN_BIT_EVIDENCE, MIN_EXACT_BYTES};
     use fpga_msa::msa::{ModelMatch, SignatureDb};
     use fpga_msa::vitis::Image;
 
     const MAX_REPAIR_PASSES: usize = 4;
+
+    /// Maximal runs of `value` of at least `min_len` bytes, from a copy of
+    /// the view cut into runs of equal bytes.
+    pub fn marker_runs(view: &ScrapeView<'_>, value: u8, min_len: u64) -> Vec<MarkerRun> {
+        let mut runs = Vec::new();
+        let mut offset = 0u64;
+        for run in view.to_vec().chunk_by(|a, b| a == b) {
+            let len = run.len() as u64;
+            if run[0] == value && len >= min_len {
+                runs.push(MarkerRun { offset, len });
+            }
+            offset += len;
+        }
+        runs
+    }
 
     pub fn fuzzy_scan(bytes: &[u8], pattern: &[u8]) -> Option<f64> {
         if pattern.is_empty() || bytes.len() < pattern.len() {
@@ -548,5 +571,228 @@ fn fuzzy_scan_matches_the_reference_on_edge_patterns() {
                 &format!("custom db case {case} unit {unit}"),
             );
         }
+    }
+}
+
+/// A heap-like buffer for the marker scan: noise, decayed corrupted and
+/// sentinel images, and marker runs of one byte and of 255, 256 and 257
+/// bytes (around the attack's 256-byte threshold), each starting just
+/// before a seam of the `unit`-byte grid so that it straddles one or more.
+fn marker_view_bytes(rng: &mut Rng, unit: usize) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for _ in 0..1 + rng.below(4) {
+        for _ in 0..rng.below(700) {
+            let byte = match rng.below(4) {
+                0 => 0xFF,
+                1 => 0x55,
+                2 => 0,
+                _ => rng.next() as u8,
+            };
+            bytes.push(byte);
+        }
+        let (w, h) = (1 + rng.below(24) as u32, 1 + rng.below(12) as u32);
+        let mut image = if rng.chance(500) {
+            Image::corrupted(w, h)
+        } else {
+            Image::profiling_sentinel(w, h)
+        }
+        .into_bytes();
+        let kind = [Damage::Erased, Damage::Clipped, Damage::Mixed][rng.below(3) as usize];
+        damage(&mut image, kind, rng.below(80), rng);
+        bytes.extend_from_slice(&image);
+    }
+    for len in [255usize, 256, 257, 1] {
+        let value = if rng.chance(500) { 0xFF } else { 0x55 };
+        let to_seam = (unit - bytes.len() % unit) % unit;
+        let before_next = unit - 1 - rng.below(unit as u64) as usize;
+        bytes.resize(bytes.len() + to_seam + before_next, 0);
+        bytes.resize(bytes.len() + len, value);
+        bytes.push(0);
+    }
+    bytes
+}
+
+#[test]
+fn marker_runs_match_the_byte_wise_reference_on_decayed_views() {
+    let mut rng = Rng(0x3A2C_E200);
+    for case in 0..10 {
+        for unit in [1usize, 8, 64, 4096] {
+            let bytes = marker_view_bytes(&mut rng, unit);
+            for head in [0, unit, rng.below(bytes.len() as u64 + 1) as usize] {
+                let view = segmented(&bytes, head, unit);
+                for min_len in [0, 1, 4, 255, 256, 257, u64::MAX] {
+                    for (marker, value) in [(CORRUPTED_MARKER, 0xFF), (SENTINEL_MARKER, 0x55)] {
+                        assert_eq!(
+                            marker_runs_view(&view, marker, min_len),
+                            reference::marker_runs(&view, value, min_len),
+                            "case {case} unit {unit} head {head} min_len {min_len} \
+                             marker {marker:08x}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Bytes of noise, zeros and text with decayed copies of `patterns` planted
+/// in them.
+fn planted_pattern_bytes(patterns: &[&[u8]], rng: &mut Rng) -> Vec<u8> {
+    let mut bytes: Vec<u8> = (0..300 + rng.below(1500))
+        .map(|_| match rng.below(3) {
+            0 => 0,
+            1 => rng.next() as u8,
+            _ => b"abcdefghij_/0123"[rng.below(16) as usize],
+        })
+        .collect();
+    for pattern in patterns {
+        if pattern.is_empty() || !rng.chance(700) {
+            continue;
+        }
+        let start = rng.below((bytes.len() - pattern.len()) as u64) as usize;
+        let window = &mut bytes[start..start + pattern.len()];
+        window.copy_from_slice(pattern);
+        damage(window, Damage::Mixed, rng.below(400), rng);
+    }
+    bytes
+}
+
+#[test]
+fn fuzzy_identify_matches_the_reference_when_patterns_shrink_the_kill_set() {
+    // Bytes >= 0x80 in the patterns leave fewer bytes that are a bit subset
+    // of no pattern byte, so fewer bytes clear the automaton outright.
+    let patterns = [
+        "vitis_ai/modèles/résnet50",
+        "ÿþý_poids_über",
+        "\u{10FFFF}\u{7FF}\u{FFFF}_dpu",
+        "plain_ascii_tail",
+    ];
+    let db = SignatureDb::from_signatures(vec![
+        ModelSignature {
+            model: ModelKind::Resnet50Pt,
+            patterns: patterns[..2].iter().map(|p| p.to_string()).collect(),
+        },
+        ModelSignature {
+            model: ModelKind::Vgg16,
+            patterns: patterns[2..].iter().map(|p| p.to_string()).collect(),
+        },
+    ]);
+    let as_bytes: Vec<&[u8]> = patterns.iter().map(|p| p.as_bytes()).collect();
+    let mut rng = Rng(0x4B11_0080);
+    for case in 0..40 {
+        let bytes = planted_pattern_bytes(&as_bytes, &mut rng);
+        let expected = reference::fuzzy_identify_view(&ScrapeView::from_slice(&bytes), &db);
+        for unit in [1usize, 16, 4096] {
+            assert_same_match(
+                fuzzy_identify_view(&segmented(&bytes, 3, unit), &db),
+                expected.clone(),
+                &format!("non-ASCII db case {case} unit {unit}"),
+            );
+        }
+    }
+    // Raw byte patterns can hold 0xFF, of which every byte is a bit subset:
+    // no byte kills the state.
+    let raw: [&[u8]; 4] = [
+        &[0xFF; 6],
+        &[0xFF, 0x80, 0x7F, 0x01, 0xFE, 0xC3, 0xA9],
+        &[0x80, 0x90, 0xA0, 0xB0, 0xC0],
+        b"ascii\xFFbyte",
+    ];
+    for case in 0..40 {
+        let bytes = planted_pattern_bytes(&raw, &mut rng);
+        for pattern in raw {
+            assert_eq!(
+                fuzzy_scan(&bytes, pattern).map(f64::to_bits),
+                reference::fuzzy_scan(&bytes, pattern).map(f64::to_bits),
+                "raw case {case}, pattern {pattern:02x?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn fuzzy_identify_on_an_empty_database_matches_nothing() {
+    let empty = SignatureDb::from_signatures(Vec::new());
+    let hollow = SignatureDb::from_signatures(vec![ModelSignature {
+        model: ModelKind::SqueezeNet,
+        patterns: vec![String::new(), "\0\0\0\0".to_string()],
+    }]);
+    let mut rng = Rng(0xE3B7);
+    let standard = planted_view_bytes(&SignatureDb::standard(), &mut rng, 4096);
+    let noise: Vec<u8> = (0..4096).map(|_| rng.next() as u8).collect();
+    for bytes in [Vec::new(), vec![0u8; 100], noise, standard] {
+        for db in [&empty, &hollow] {
+            for unit in [1usize, 4096] {
+                let view = segmented(&bytes, 1, unit);
+                assert_eq!(fuzzy_identify_view(&view, db), None);
+                assert_eq!(reference::fuzzy_identify_view(&view, db), None);
+            }
+        }
+    }
+}
+
+#[test]
+fn repair_matches_the_reference_on_an_adversarial_alphabet() {
+    // Zero, all ones, single bits, and pairs that tie on set bits (0x0F and
+    // 0xF0, 0x7F and 0xFE), drawn from a few values at a time so that
+    // equal neighbors, two agreeing pairs and three-of-four bit majorities
+    // are common.
+    const ALPHABET: [u8; 14] = [
+        0, 0xFF, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x0F, 0xF0, 0x7F, 0xFE,
+    ];
+    let mut rng = Rng(0xA1FA_BE70);
+    for case in 0..200 {
+        let values: Vec<u8> = (0..2 + rng.below(4))
+            .map(|_| ALPHABET[rng.below(ALPHABET.len() as u64) as usize])
+            .collect();
+        let (w, h) = (1 + rng.below(20) as u32, 1 + rng.below(20) as u32);
+        let bytes: Vec<u8> = (0..w * h * 3)
+            .map(|_| values[rng.below(values.len() as u64) as usize])
+            .collect();
+        assert_repair_identical(
+            &Image::from_raw(w, h, bytes),
+            &format!("alphabet case {case} {w}x{h} {values:02x?}"),
+        );
+    }
+}
+
+proptest! {
+    /// Fuzzy identification never panics on arbitrary bytes, segmentations
+    /// and pattern bytes, and matches the per-pattern reference.
+    #[test]
+    fn prop_fuzzy_identify_is_panic_free_and_matches_the_reference(
+        bytes in proptest::collection::vec(any::<u8>(), 0..600),
+        pattern_bytes in proptest::collection::vec(any::<u8>(), 0..40),
+        head in any::<usize>(),
+        unit_shift in 0u32..13,
+    ) {
+        let view = segmented(&bytes, head % (bytes.len() + 1), 1 << unit_shift);
+        let (left, right) = pattern_bytes.split_at(pattern_bytes.len() / 2);
+        let custom = SignatureDb::from_signatures(vec![ModelSignature {
+            model: ModelKind::YoloV3,
+            patterns: vec![
+                String::from_utf8_lossy(left).into_owned(),
+                String::from_utf8_lossy(right).into_owned(),
+            ],
+        }]);
+        for db in [&SignatureDb::standard(), &custom] {
+            assert_same_match(
+                fuzzy_identify_view(&view, db),
+                reference::fuzzy_identify_view(&view, db),
+                "arbitrary view",
+            );
+        }
+    }
+
+    /// Repair never panics on arbitrary pixels and dimensions (empty, one
+    /// row or column, rows that end mid-word) and matches the reference.
+    #[test]
+    fn prop_repair_is_panic_free_and_matches_the_reference(
+        seed in proptest::collection::vec(any::<u8>(), 1..64),
+        width in 0u32..30,
+        height in 0u32..30,
+    ) {
+        let bytes: Vec<u8> = seed.iter().copied().cycle().take((width * height * 3) as usize).collect();
+        assert_repair_identical(&Image::from_raw(width, height, bytes), "arbitrary image");
     }
 }
